@@ -40,21 +40,12 @@ from repro.array.coord import GCCoordinator, make_coordinator
 from repro.array.router import RangeRouter
 from repro.array.telemetry import ArrayTelemetry
 from repro.device.ssd import SSD, RunResult
+from repro.obs.metrics import ArrayMetrics
 from repro.obs.trace import TRACK_ARRAY
 from repro.schemes.base import FTLScheme
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventKind
 from repro.workloads.trace import Trace
-
-#: Legacy wholesale-fallback tag from before the epoch-batched array
-#: kernel (``repro.kernel.arrayepoch``) existed; kept only so old
-#: serialized results remain readable.  Live vectorized replays either
-#: run the epoch kernel (``kernel_fallback_reason`` stays ``None``) or
-#: tag one of its reasons (``array-unmodelled`` wholesale;
-#: ``array-coord-grant`` / ``array-ncq-stall`` per-epoch in the trace
-#: attribution).
-ARRAY_KERNEL_FALLBACK = "array-event-loop"
-
 
 @dataclass(frozen=True)
 class ArrayResult:
@@ -65,6 +56,7 @@ class ArrayResult:
     #: per-device :class:`RunResult`, index = device id.
     devices: Tuple[RunResult, ...]
     tenants: int
+    #: SLO view over the replay's ArrayMetrics latency histograms.
     telemetry: ArrayTelemetry
     #: shared-clock end time (max over devices' last events).
     simulated_us: float
@@ -77,8 +69,9 @@ class ArrayResult:
     coord_stats: Dict[str, float] = field(default_factory=dict)
     #: set when a vectorized-kernel request fell back to the event loop.
     kernel_fallback_reason: Optional[str] = None
-    #: present when the array ran with an ArrayMetrics registry
-    #: attached (global + per-device/per-tenant labeled families).
+    #: snapshot of the replay's ArrayMetrics registry (global +
+    #: per-device/per-tenant labeled families); absent only on results
+    #: rebuilt from a cache entry written without one.
     metrics: Optional[object] = None
     #: per-device ``kernel_gc_stats`` dicts (batched-vs-scalar collect
     #: outcomes) when the epoch kernel replayed the array; empty on the
@@ -218,10 +211,8 @@ class _ArrayLane(SSD):
         if self._coord is None or self._preemptive:
             return super()._gc_before_write(now)
         gc_us = self._coord.foreground_gc(self, now)
-        if gc_us > 0.0:
-            self._sample_gc_state(now + gc_us)
-            if self.hooks:
-                self.hooks(self)
+        if gc_us > 0.0 and self.hooks:
+            self.hooks(self)
         return gc_us
 
     def _maybe_background_gc(self) -> None:
@@ -312,10 +303,10 @@ class SSDArray:
         self.ncq_depth = ncq_depth
         self.tracer = tracer
         self.heartbeat = heartbeat
-        #: ArrayMetrics bundle; bound in replay() once the tenant count
-        #: is known (label children are resolved per device/tenant).
-        self.metrics = metrics
-        self.telemetry: Optional[ArrayTelemetry] = None
+        #: the one live aggregator of every replay (the caller's bundle
+        #: or a private one); bound in replay() once the tenant count is
+        #: known (label children are resolved per device/tenant).
+        self.metrics = metrics if metrics is not None else ArrayMetrics()
         self.lanes: List[_ArrayLane] = [
             _ArrayLane(
                 index=i,
@@ -350,9 +341,7 @@ class SSDArray:
             tenants = int(np.max(tenant_ids)) + 1
         else:
             tenants = 1
-        self.telemetry = ArrayTelemetry(self.devices, tenants)
-        if self.metrics is not None:
-            self.metrics.bind_array(self, self.devices, tenants)
+        self.metrics.bind_array(self, self.devices, tenants)
         if config.kernel == "vectorized":
             from repro.kernel.arrayepoch import (
                 array_kernel_eligible,
@@ -390,13 +379,12 @@ class SSDArray:
         coord_stats = (
             self.coordinator.stats() if self.coordinator is not None else {}
         )
-        if self.metrics is not None:
-            self.metrics.finish(self.sim.now, self)
+        self.metrics.finish(self.sim.now, self)
         if self.heartbeat is not None:
             self.heartbeat.finish(
                 self.sim.now,
                 self.sim.events_processed,
-                self.telemetry.hist.total,
+                self.metrics.latency.hist.total,
                 gc_collects=self._gc_collects(),
             )
         return ArrayResult(
@@ -404,7 +392,7 @@ class SSDArray:
             trace=trace.name,
             devices=tuple(lane.finish() for lane in self.lanes),
             tenants=tenants,
-            telemetry=self.telemetry,
+            telemetry=ArrayTelemetry.of(self.metrics),
             simulated_us=max(
                 [lane.last_event_us for lane in self.lanes] + [0.0]
             ),
@@ -413,9 +401,7 @@ class SSDArray:
             ncq_held=tuple(lane.ncq_held for lane in self.lanes),
             coord_stats=coord_stats,
             kernel_fallback_reason=self.kernel_fallback_reason,
-            metrics=(
-                self.metrics.snapshot() if self.metrics is not None else None
-            ),
+            metrics=self.metrics.snapshot(),
         )
 
     # ----------------------------------------------------------- hooks
@@ -428,16 +414,14 @@ class SSDArray:
     def _on_lane_complete(
         self, lane: _ArrayLane, tenant: int, latency_us: float
     ) -> None:
-        self.telemetry.on_complete(lane.index, tenant, latency_us)
-        if self.metrics is not None:
-            self.metrics.on_array_complete(
-                lane.index, tenant, self.sim.now, latency_us
-            )
+        self.metrics.on_array_complete(
+            lane.index, tenant, self.sim.now, latency_us
+        )
         if self.heartbeat is not None:
             self.heartbeat.tick(
                 self.sim.now,
                 self.sim.events_processed,
-                self.telemetry.hist.total,
+                self.metrics.latency.hist.total,
                 gc_collects=self._gc_collects(),
             )
 
@@ -459,4 +443,4 @@ class SSDArray:
             self._schedule_window(self.coordinator.window_us)
 
 
-__all__ = ["ARRAY_KERNEL_FALLBACK", "ArrayResult", "SSDArray", "_ArrayLane"]
+__all__ = ["ArrayResult", "SSDArray", "_ArrayLane"]

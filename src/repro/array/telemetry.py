@@ -1,18 +1,20 @@
-"""Per-tenant / per-device SLO telemetry for the SSD array.
+"""Per-tenant / per-device SLO view of one array replay.
 
-Every completed request is recorded three times into the existing
-log-bucket :class:`~repro.obs.telemetry.LatencyHistogram` machinery:
-once into the array-wide histogram, once into its device's and once
-into its tenant's.  The per-tenant and per-device families therefore
-*partition* the global histogram — bucket counts, totals and maxima
-fold back exactly (integer sums and maxima are order-independent;
-``sum_us`` matches to float fold-order, which the telemetry tests pin
-with a tight relative bound).
+Every :class:`~repro.array.SSDArray` replay drives one
+:class:`~repro.obs.metrics.ArrayMetrics` bundle, which records each
+completed request once into the array-wide latency histogram, once
+into its device's child and once into its tenant's child.
+:class:`ArrayTelemetry` is the result-side view over those same
+histogram objects: queries, the ``report`` SLO rows, and the
+runner-cache array layout.
 
-Percentile queries are answered from bucket counts, so per-tenant
-p99/p999 SLO rows are exact partitions of the array-wide view — the
-numbers ``cagc-repro report`` prints per tenant add up to the global
-distribution by construction.
+The per-tenant and per-device families *partition* the global
+histogram — bucket counts, totals and maxima fold back exactly (integer
+sums and maxima are order-independent; ``sum_us`` matches to float
+fold-order, which the telemetry tests pin with a tight relative
+bound).  Percentile queries are answered from bucket counts, so the
+per-tenant p99/p999 rows ``cagc-repro report`` prints add up to the
+global distribution by construction.
 """
 
 from __future__ import annotations
@@ -33,14 +35,25 @@ def fold_histograms(hists: Sequence[LatencyHistogram]) -> LatencyHistogram:
 
 
 class ArrayTelemetry:
-    """Always-on SLO aggregator of one array replay."""
+    """SLO view over an array replay's global/device/tenant histograms."""
 
-    def __init__(self, devices: int, tenants: int) -> None:
-        if devices < 1 or tenants < 1:
-            raise ValueError("devices and tenants must be >= 1")
-        self.hist = LatencyHistogram()
-        self.device_hists = [LatencyHistogram() for _ in range(devices)]
-        self.tenant_hists = [LatencyHistogram() for _ in range(tenants)]
+    def __init__(
+        self,
+        hist: LatencyHistogram,
+        device_hists: Sequence[LatencyHistogram],
+        tenant_hists: Sequence[LatencyHistogram],
+    ) -> None:
+        if not device_hists or not tenant_hists:
+            raise ValueError("need at least one device and one tenant")
+        self.hist = hist
+        self.device_hists = list(device_hists)
+        self.tenant_hists = list(tenant_hists)
+
+    @classmethod
+    def of(cls, metrics) -> "ArrayTelemetry":
+        """The view over a bound :class:`~repro.obs.metrics.ArrayMetrics`
+        bundle's histograms (shared objects, not copies)."""
+        return cls(metrics.latency.hist, metrics.device_hists, metrics.tenant_hists)
 
     @property
     def devices(self) -> int:
@@ -49,12 +62,6 @@ class ArrayTelemetry:
     @property
     def tenants(self) -> int:
         return len(self.tenant_hists)
-
-    def on_complete(self, device: int, tenant: int, latency_us: float) -> None:
-        """One finished request on ``device`` belonging to ``tenant``."""
-        self.hist.record(latency_us)
-        self.device_hists[device].record(latency_us)
-        self.tenant_hists[tenant].record(latency_us)
 
     # ------------------------------------------------------------ queries
 
@@ -119,21 +126,22 @@ class ArrayTelemetry:
 
     @classmethod
     def from_arrays(cls, data: dict) -> "ArrayTelemetry":
-        def unpack(hists: Sequence[LatencyHistogram], packed: dict) -> None:
-            for i, hist in enumerate(hists):
+        def unpack(packed: dict) -> List[LatencyHistogram]:
+            hists = []
+            for i in range(len(packed["total"])):
+                hist = LatencyHistogram()
                 hist.counts = np.array(packed["counts"][i], dtype=np.int64)
                 hist.total = int(packed["total"][i])
                 hist.sum_us = float(packed["sum_us"][i])
                 hist.max_us = float(packed["max_us"][i])
+                hists.append(hist)
+            return hists
 
-        telemetry = cls(
-            devices=len(data["device"]["total"]),
-            tenants=len(data["tenant"]["total"]),
+        return cls(
+            unpack(data["global"])[0],
+            unpack(data["device"]),
+            unpack(data["tenant"]),
         )
-        unpack([telemetry.hist], data["global"])
-        unpack(telemetry.device_hists, data["device"])
-        unpack(telemetry.tenant_hists, data["tenant"])
-        return telemetry
 
 
 __all__ = ["ArrayTelemetry", "fold_histograms"]

@@ -484,19 +484,25 @@ def _disable_cache() -> None:
 
 
 def _make_observers(args):
-    """Build (tracer, telemetry, heartbeat) from the obs flags."""
-    from repro.obs import Heartbeat, RunTelemetry, Tracer
+    """Build (tracer, heartbeat) from the obs flags."""
+    from repro.obs import Heartbeat, Tracer
 
     tracer = Tracer() if args.trace else None
-    telemetry = RunTelemetry() if args.trace else None
     heartbeat = Heartbeat(args.heartbeat) if args.heartbeat is not None else None
-    return tracer, telemetry, heartbeat
+    return tracer, heartbeat
 
 
-def _write_trace(tracer, timeline, args) -> None:
-    """Fold the device timeline into the trace and write it out."""
-    if timeline is not None:
-        tracer.add_counters_from(timeline.to_dict())
+def _write_trace(tracer, snapshot, args) -> None:
+    """Fold the run's metrics time series (if any) into the trace as
+    counter tracks and write it out."""
+    if snapshot is not None:
+        times = snapshot.times_us.tolist()
+        tracer.add_counters_from(
+            {
+                name: {"times_us": times, "values": column.tolist()}
+                for name, column in snapshot.series.items()
+            }
+        )
     tracer.write(args.trace, args.trace_format)
     log.info(
         "wrote %d trace events (%s) to %s",
@@ -523,7 +529,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # over the worker pool; the report builders below then only read.
     start = time.time()
     warmed = warm_experiments(ids, scale=args.scale, jobs=args.jobs)
-    if warmed and args.jobs != 1:
+    if warmed:
         log.info("(warmed %d runs in %.1fs)", warmed, time.time() - start)
     if args.trace:
         _trace_one_experiment_run(ids, args)
@@ -554,10 +560,10 @@ def _trace_one_experiment_run(args_ids, args) -> None:
         log.warning("--trace: no underlying runs for %s", args_ids)
         return
     spec = specs[0]
-    tracer, telemetry, heartbeat = _make_observers(args)
+    tracer, heartbeat = _make_observers(args)
     log.info("tracing %s ...", spec.label())
-    spec.execute(tracer=tracer, telemetry=telemetry, heartbeat=heartbeat)
-    _write_trace(tracer, None, args)
+    result = spec.execute(tracer=tracer, heartbeat=heartbeat)
+    _write_trace(tracer, result.metrics, args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -817,7 +823,7 @@ def _simulate_array(args, config) -> int:
         make_scheme(args.scheme, config, policy=make_policy(args.policy))
         for _ in range(args.array_devices)
     ]
-    tracer, _, heartbeat = _make_observers(args)
+    tracer, heartbeat = _make_observers(args)
     array = SSDArray(
         schemes,
         coordination=args.gc_coord,
@@ -829,7 +835,7 @@ def _simulate_array(args, config) -> int:
     result = array.replay(merged)
     wall = time.time() - start
     if tracer is not None:
-        _write_trace(tracer, None, args)
+        _write_trace(tracer, result.metrics, args)
     rows = _array_report_rows(result)
     if config.kernel == "vectorized":
         reason = result.kernel_fallback_reason
@@ -897,7 +903,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.preset, config, n_requests=0, fill_factor=args.fill_factor
         )
     scheme = make_scheme(args.scheme, config, policy=make_policy(args.policy))
-    tracer, telemetry, heartbeat = _make_observers(args)
+    tracer, heartbeat = _make_observers(args)
     start = time.time()
     if args.device == "parallel":
         from repro.device.parallel import ParallelSSD
@@ -905,12 +911,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         device = ParallelSSD(scheme, tracer=tracer, heartbeat=heartbeat)
     else:
         from repro.device.ssd import SSD
+        from repro.obs import DeviceMetrics
 
         device = SSD(
             scheme,
             tracer=tracer,
-            telemetry=telemetry,
             heartbeat=heartbeat,
+            # Traced runs also sample the metrics time series, folded
+            # into the trace file as counter tracks.
+            metrics=DeviceMetrics() if tracer is not None else None,
             # Streaming replays drop per-request samples for the fixed
             # histogram so memory stays flat over arbitrarily long traces.
             keep_samples=not args.stream,
@@ -918,7 +927,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = device.replay(trace)
     wall = time.time() - start
     if tracer is not None:
-        _write_trace(tracer, getattr(device, "timeline", None), args)
+        _write_trace(tracer, result.metrics, args)
     lat = result.latency
     rows = [
         ("requests", lat.count),
@@ -1083,7 +1092,7 @@ def _slo_doc(result, array: bool) -> List[dict]:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render the unified telemetry view of one (possibly cached) run."""
-    from repro.obs import RunTelemetry
+    from repro.obs.telemetry import summary_rows
 
     if args.no_cache:
         _disable_cache()
@@ -1098,7 +1107,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.array_devices:
         rows = _array_report_rows(result)
     else:
-        rows = RunTelemetry.summary_rows(result)
+        rows = summary_rows(result)
     rows = list(rows) + _kernel_rows(kernel)
     print(format_table(("Metric", "Value"), rows, title=spec.label()))
     hits = cache.hits if cache is not None else 0

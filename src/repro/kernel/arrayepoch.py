@@ -251,36 +251,28 @@ def _gate_replay(a: np.ndarray, c: np.ndarray, depth: int) -> Tuple[int, int]:
     return peak, held
 
 
-# ------------------------------------------------------- telemetry fold
+# --------------------------------------------------------- metrics fold
 
 
 class _LaneFold:
-    """Per-lane telemetry adapter: batched folds into ArrayTelemetry.
+    """Per-lane adapter: batched folds into the array's ArrayMetrics.
 
-    Quacks like ``RunTelemetry`` for the single-device kernel hooks
-    (``on_batch``/``on_complete``/``snapshot``) but lands every
-    latency in the array's global, per-device and per-tenant
-    histograms — the exact counts the reference's per-completion
-    ``ArrayTelemetry.on_complete`` calls produce, folded per batch.
-    It also keeps the lane's latency column so completions (arrival +
-    latency) can be reconstructed for the NCQ counters.
-
-    When the array carries an :class:`~repro.obs.metrics.ArrayMetrics`
-    bundle the same folds land there too (``on_array_batch`` /
-    ``on_array_complete``) — counter increments and histogram bucket
-    counts stay exact; only the time-series recorder cadence differs
-    (batch boundaries instead of per completion, same deliberate
-    trade-off the single-device kernel makes).
+    Quacks like :class:`~repro.obs.metrics.DeviceMetrics` for the
+    single-device kernel hooks (``on_batch``/``on_complete``/
+    ``on_fallback``/``finish``/``snapshot``) but lands every latency in
+    the array bundle's global, per-device and per-tenant families
+    (``on_array_batch`` / ``on_array_complete``) — the exact counts and
+    histogram buckets the reference's per-completion calls produce,
+    folded per batch; only the time-series recorder cadence differs
+    (batch boundaries instead of per completion, the same deliberate
+    trade-off the single-device kernel makes).  It also keeps the
+    lane's latency column so completions (arrival + latency) can be
+    reconstructed for the NCQ counters.
     """
 
-    __slots__ = (
-        "telemetry", "metrics", "device", "tenants", "cursor", "parts",
-    )
+    __slots__ = ("metrics", "device", "tenants", "cursor", "parts")
 
-    def __init__(
-        self, telemetry, device: int, tenants: np.ndarray, metrics=None
-    ) -> None:
-        self.telemetry = telemetry
+    def __init__(self, metrics, device: int, tenants: np.ndarray) -> None:
         self.metrics = metrics
         self.device = device
         self.tenants = tenants
@@ -289,37 +281,25 @@ class _LaneFold:
 
     def on_batch(self, latencies_us: np.ndarray, end_us: float, ssd) -> None:
         n = int(latencies_us.size)
-        tel = self.telemetry
-        tel.hist.record_many(latencies_us)
-        tel.device_hists[self.device].record_many(latencies_us)
         tslice = self.tenants[self.cursor : self.cursor + n]
-        if len(tel.tenant_hists) == 1:
-            tel.tenant_hists[0].record_many(latencies_us)
-        else:
-            for tenant in np.unique(tslice):
-                tel.tenant_hists[int(tenant)].record_many(
-                    latencies_us[tslice == tenant]
-                )
-        if self.metrics is not None:
-            self.metrics.on_array_batch(
-                self.device, tslice, latencies_us, end_us
-            )
+        self.metrics.on_array_batch(self.device, tslice, latencies_us, end_us)
         self.cursor += n
         self.parts.append(latencies_us)
 
     def on_complete(self, now_us: float, latency_us: float, ssd) -> None:
-        tel = self.telemetry
         tenant = int(self.tenants[self.cursor]) if self.tenants.size else 0
-        tel.on_complete(self.device, tenant, latency_us)
-        if self.metrics is not None:
-            self.metrics.on_array_complete(
-                self.device, tenant, now_us, latency_us
-            )
+        self.metrics.on_array_complete(self.device, tenant, now_us, latency_us)
         self.cursor += 1
         self.parts.append(np.array([latency_us], dtype=np.float64))
 
-    def snapshot(self, now_us: float, ssd) -> None:  # boundary no-op
+    def on_fallback(self, reason: str) -> None:
+        self.metrics.on_fallback(reason)
+
+    def finish(self, now_us: float, ssd) -> None:  # the array finishes
         pass
+
+    def snapshot(self) -> None:  # lane results carry no snapshot
+        return None
 
     def latencies(self) -> np.ndarray:
         if not self.parts:
@@ -340,10 +320,9 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
     array-only ones: heartbeat observers clock per completion on the
     shared loop, and coordinated replays of hand-built traces with
     negative fingerprints would interleave per-request fallbacks with
-    coordination decisions the planner cannot predict.  An
-    :class:`~repro.obs.metrics.ArrayMetrics` bundle is supported — the
-    lane folds feed it batch-exactly, so runner-cached array runs stay
-    kernel-eligible.
+    coordination decisions the planner cannot predict.  The array's
+    :class:`~repro.obs.metrics.ArrayMetrics` bundle never blocks the
+    kernel — the lane folds feed it batch-exactly.
     """
     for lane in array.lanes:
         scheme = lane.scheme
@@ -386,15 +365,14 @@ def _replay_independent(array, subs) -> Tuple[list, list, list, int]:
     scalar_gates = 0
     sim = array.sim
     for lane, (sub, tenants, _idx) in zip(array.lanes, subs):
-        fold = _LaneFold(array.telemetry, lane.index, tenants, array.metrics)
+        fold = _LaneFold(array.metrics, lane.index, tenants)
         # Assigned post-construction on purpose: the constructor path
-        # would also register the GC-snapshot hook, which the batched
-        # kernel drives explicitly.
-        lane.telemetry = fold
+        # would bind the lane's own gauges into a registry.
+        lane.metrics = fold
         lane._trace_name = sub.name
         sim.now = 0.0  # each lane replays on its own clock segment
         result = replay_vectorized(lane, sub)
-        lane.telemetry = None
+        lane.metrics = None
         lane.last_event_us = result.simulated_us if len(sub) else 0.0
         lane.rows_done = True
         lats = fold.latencies()
@@ -433,11 +411,10 @@ class _LaneState:
         "run_end",
     )
 
-    def __init__(self, lane, sub, tenants, telemetry, metrics=None) -> None:
+    def __init__(self, lane, sub, tenants, metrics) -> None:
         self.lane = lane
         self.sub = sub
-        self.fold = _LaneFold(telemetry, lane.index, tenants, metrics)
-        lane.telemetry = None
+        self.fold = _LaneFold(metrics, lane.index, tenants)
         lane._trace_name = sub.name
         lane.rows_done = False
         scheme = lane.scheme
@@ -522,9 +499,7 @@ class _EpochRunner:
         self.tracer = array.tracer
         self.states: List[_LaneState] = []
         for lane, (sub, tenants, _idx) in zip(array.lanes, subs):
-            state = _LaneState(
-                lane, sub, tenants, array.telemetry, array.metrics
-            )
+            state = _LaneState(lane, sub, tenants, array.metrics)
             lane._epoch = self
             self.states.append(state)
 
@@ -613,7 +588,6 @@ class _EpochRunner:
         state = self.states[lane.index]
         now = self.sim.now
         lane._busy = False
-        lane._sample_gc_state(now)
         if lane.hooks:
             lane.hooks(lane)
         if now > state.t:
@@ -936,9 +910,7 @@ class _EpochRunner:
         lane.latency.record(completion - arrival)
         lane.requests_completed += 1
         state.fold.on_complete(completion, completion - arrival, lane)
-        metrics = self.array.metrics
-        if metrics is not None:
-            metrics.on_fallback(reason)
+        state.fold.on_fallback(reason)
         if self.tracer is not None:
             self.tracer.span(
                 TRACK_KERNEL, "fallback", start, duration,
@@ -962,12 +934,13 @@ def replay_array_vectorized(array, trace, tenants: int):
     """Replay ``trace`` through the epoch orchestrator; see module docs.
 
     The caller (:meth:`SSDArray.replay`) has already verified
-    :func:`array_kernel_eligible` and built the telemetry; this
+    :func:`array_kernel_eligible` and bound the metrics bundle; this
     returns the fully-populated :class:`~repro.array.device
     .ArrayResult` with ``kernel_fallback_reason=None``.
     """
     from repro.array.coord import StaggeredCoordinator
     from repro.array.device import ArrayResult
+    from repro.array.telemetry import ArrayTelemetry
 
     subs = split_epoch_streams(array.router, trace)
     if array.coordinator is None:
@@ -1012,14 +985,13 @@ def replay_array_vectorized(array, trace, tenants: int):
         for lane in array.lanes
     )
     simulated_us = max([lane.last_event_us for lane in array.lanes] + [0.0])
-    if array.metrics is not None:
-        array.metrics.finish(simulated_us, array)
+    array.metrics.finish(simulated_us, array)
     return ArrayResult(
         coordination=array.coordination,
         trace=trace.name,
         devices=tuple(lane.finish() for lane in array.lanes),
         tenants=tenants,
-        telemetry=array.telemetry,
+        telemetry=ArrayTelemetry.of(array.metrics),
         simulated_us=simulated_us,
         ncq_depth=array.ncq_depth,
         ncq_peaks=tuple(lane.ncq_peak for lane in array.lanes),
@@ -1027,9 +999,7 @@ def replay_array_vectorized(array, trace, tenants: int):
         coord_stats=coord_stats,
         kernel_fallback_reason=None,
         kernel_gc=kernel_gc,
-        metrics=(
-            array.metrics.snapshot() if array.metrics is not None else None
-        ),
+        metrics=array.metrics.snapshot(),
     )
 
 

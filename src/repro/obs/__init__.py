@@ -1,34 +1,39 @@
-"""Structured run observability: tracing, telemetry, logging.
+"""Structured run observability: one metrics pipeline plus an event stream.
 
 The simulator's core claim is a *timing-overlap* claim — CAGC hides the
 fingerprint cost inside erase windows — so end-of-run aggregates are not
 enough to trust it.  This package adds the instrumentation layer the
 rest of the stack threads through:
 
-* :class:`Tracer` (``repro.obs.trace``) — typed spans and instant events
-  in simulated-time coordinates, one track per pipeline resource
-  (foreground I/O, GC phases, each hash lane), exportable as JSONL or
-  Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``;
-* :class:`RunTelemetry` + :class:`LatencyHistogram`
-  (``repro.obs.telemetry``) — fixed-bucket latency percentiles and
-  per-phase GC time attribution without storing every sample;
+* :class:`DeviceMetrics` / :class:`ArrayMetrics` (``repro.obs.metrics``)
+  — the only live aggregator: typed Counter/Gauge/Histogram handles
+  resolved once at attach time, per-device/per-tenant label dimensions,
+  and a simulated-time :class:`~repro.obs.series.TimeSeriesRecorder`
+  whose columns (free fraction, blocks erased, pages migrated, GC busy
+  time, windowed tail latency, ...) are the run's time series.  On top
+  of its frozen :class:`MetricsSnapshot` sit the exporters
+  (``repro.obs.export``), declarative SLO monitors with burn-rate
+  evaluation (``repro.obs.slo``) and cross-run regression diffing
+  (``repro.obs.compare``);
+* :class:`LatencyHistogram` (``repro.obs.telemetry``) — the log-bucket
+  geometry behind every registry histogram, plus ``summary_rows``, the
+  ``report`` table of one run;
+* :class:`Tracer` (``repro.obs.trace``) — the event stream only: typed
+  spans and instant events in simulated-time coordinates, one track per
+  pipeline resource (foreground I/O, GC phases, each hash lane),
+  exportable as JSONL or Chrome trace-event JSON loadable in Perfetto /
+  ``chrome://tracing``;
 * :mod:`repro.obs.log` — the one logger the CLI and scripts share
   (``--quiet`` / ``--verbose``);
 * :class:`Heartbeat` (``repro.obs.heartbeat``) — wall-clock progress
   lines (sim time, events/sec, rolling ops/s, GC collects, ETA) to
   stderr for long replays;
 * :class:`HookMux` (``repro.obs.hooks``) — fan-out for ``SSD.gc_hook``
-  so oracle invariant checks and telemetry snapshots coexist;
-* :class:`DeviceMetrics` / :class:`ArrayMetrics` (``repro.obs.metrics``)
-  — the unified metrics registry: typed Counter/Gauge/Histogram handles
-  resolved once at attach time, per-device/per-tenant label dimensions,
-  a simulated-time :class:`~repro.obs.series.TimeSeriesRecorder`, and
-  on top of it the exporters (``repro.obs.export``), declarative SLO
-  monitors with burn-rate evaluation (``repro.obs.slo``) and cross-run
-  regression diffing (``repro.obs.compare``).
+  so several post-GC observers (the oracle's invariant checker, user
+  hooks) share one slot.
 
 Every instrumentation site in the hot path is a single
-``if tracer is not None`` predicated call, so a run without a tracer
+``if x is not None`` predicated call, so a run without observers
 pays one attribute test per site and nothing more — the property the
 ``benchguard`` overhead test pins against ``BENCH_throughput.json``.
 """
@@ -45,7 +50,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.series import TimeSeriesRecorder
 from repro.obs.slo import SLObjective, default_objectives, evaluate_slos
-from repro.obs.telemetry import LatencyHistogram, RunTelemetry
+from repro.obs.telemetry import LatencyHistogram
 from repro.obs.trace import (
     TRACK_GC,
     TRACK_GC_READ,
@@ -67,7 +72,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "RunTelemetry",
     "SLObjective",
     "TimeSeriesRecorder",
     "compare_snapshots",

@@ -2,15 +2,15 @@
 
 ``SSD.gc_hook`` fires after every GC episode.  Before this module there
 was exactly one slot, so the differential oracle's invariant checker
-and any telemetry consumer fought over it.  :class:`HookMux` is a
+and any other post-GC observer fought over it.  :class:`HookMux` is a
 callable list: the device owns one, observers register, and a single
 ``if hooks:`` test on the GC path dispatches to all of them in
 registration order.
 
 The mux is intentionally dumb — no priorities, no exception swallowing.
 An invariant checker *wants* its ``AssertionError`` to propagate and
-kill the run at the GC that broke the state; telemetry hooks should
-never raise at all.
+kill the run at the GC that broke the state; purely observational
+hooks should never raise at all.
 """
 
 from __future__ import annotations

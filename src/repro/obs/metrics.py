@@ -480,9 +480,12 @@ class ArrayMetrics(DeviceMetrics):
 
     Every completion feeds the global counter/histogram *and* exactly
     one ``device`` child and one ``tenant`` child, so each labeled
-    family partitions its global parent exactly — same law as
-    :class:`~repro.array.telemetry.ArrayTelemetry`, now expressed in
-    registry form (and pinned by a hypothesis property test).
+    family partitions its global parent exactly (pinned by a
+    hypothesis property test).  Every :class:`~repro.array.SSDArray`
+    drives one bundle — the caller's or a private one — and its
+    :class:`~repro.array.telemetry.ArrayTelemetry` result view reads
+    these same histogram objects, so each completion is recorded once
+    per family.
     """
 
     def __init__(
@@ -497,8 +500,9 @@ class ArrayMetrics(DeviceMetrics):
         self.tenant_latency: Optional[HistogramVec] = None
         self._device_req: List[Counter] = []
         self._tenant_req: List[Counter] = []
-        self._device_hist: List[LatencyHistogram] = []
-        self._tenant_hist: List[LatencyHistogram] = []
+        #: the device / tenant children's histograms, dense by label.
+        self.device_hists: List[LatencyHistogram] = []
+        self.tenant_hists: List[LatencyHistogram] = []
 
     def bind_array(self, array, devices: int, tenants: int) -> None:
         """Resolve the global handles plus one child per label value."""
@@ -536,10 +540,10 @@ class ArrayMetrics(DeviceMetrics):
         self._tenant_req = [
             self.tenant_requests.labels(t) for t in range(tenants)
         ]
-        self._device_hist = [
+        self.device_hists = [
             self.device_latency.labels(i).hist for i in range(devices)
         ]
-        self._tenant_hist = [
+        self.tenant_hists = [
             self.tenant_latency.labels(t).hist for t in range(tenants)
         ]
         for i, lane in enumerate(array.lanes):
@@ -571,8 +575,8 @@ class ArrayMetrics(DeviceMetrics):
         self.latency.hist.record(latency_us)
         self._device_req[device].value += 1.0
         self._tenant_req[tenant].value += 1.0
-        self._device_hist[device].record(latency_us)
-        self._tenant_hist[tenant].record(latency_us)
+        self.device_hists[device].record(latency_us)
+        self.tenant_hists[tenant].record(latency_us)
         recorder = self.recorder
         if now_us >= recorder.next_due_us:
             recorder.sample(now_us)
@@ -600,11 +604,15 @@ class ArrayMetrics(DeviceMetrics):
         self.kernel_batches.value += 1.0
         self.kernel_batched_requests.value += float(n)
         self._device_req[device].value += float(n)
-        self._device_hist[device].record_many(latencies_us)
-        for tenant in np.unique(tenant_ids):
-            mask = tenant_ids == tenant
-            self._tenant_req[int(tenant)].value += float(mask.sum())
-            self._tenant_hist[int(tenant)].record_many(latencies_us[mask])
+        self.device_hists[device].record_many(latencies_us)
+        if len(self.tenant_hists) == 1:
+            self._tenant_req[0].value += float(n)
+            self.tenant_hists[0].record_many(latencies_us)
+        else:
+            for tenant in np.unique(tenant_ids):
+                mask = tenant_ids == tenant
+                self._tenant_req[int(tenant)].value += float(mask.sum())
+                self.tenant_hists[int(tenant)].record_many(latencies_us[mask])
         recorder = self.recorder
         if end_us >= recorder.next_due_us:
             recorder.sample(end_us)

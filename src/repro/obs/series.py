@@ -25,7 +25,7 @@ an arbitrarily long replay yields a compact, uniformly-spaced series.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,21 +37,24 @@ from repro.obs.metrics import DEFAULT_INTERVAL_US
 MAX_SAMPLES = 4096
 
 
-def percentile_from_counts(
-    counts: np.ndarray, total: int, max_us: float, p: float
-) -> float:
-    """Percentile of an arbitrary bucket-count vector over the shared
+def percentiles_from_counts(
+    counts: np.ndarray, total: int, max_us: float, ps: Sequence[float]
+) -> List[float]:
+    """Percentiles of an arbitrary bucket-count vector over the shared
     log-bucket geometry (the windowed-delta variant of
-    :meth:`LatencyHistogram.percentile`)."""
+    :meth:`LatencyHistogram.percentile`), from one cumulative sum."""
     if total <= 0:
-        return 0.0
-    rank = max(math.ceil(total * p / 100.0), 1)
-    cum = np.cumsum(counts)
-    idx = int(np.searchsorted(cum, rank, side="left"))
+        return [0.0] * len(ps)
+    ranks = [max(math.ceil(total * p / 100.0), 1) for p in ps]
     edges = LatencyHistogram._EDGES
-    if idx >= edges.size:
-        return max_us
-    return float(min(edges[idx], max_us)) if max_us > 0.0 else float(edges[idx])
+    out = []
+    for idx in np.searchsorted(np.cumsum(counts), ranks, side="left").tolist():
+        if idx >= edges.size:
+            out.append(max_us)
+        else:
+            edge = float(edges[idx])
+            out.append(min(edge, max_us) if max_us > 0.0 else edge)
+    return out
 
 
 class TimeSeriesRecorder:
@@ -134,13 +137,12 @@ class TimeSeriesRecorder:
         if hist is not None:
             delta = hist.counts - self._last_counts
             ops = hist.total - self._last_total
+            p99, p999 = percentiles_from_counts(
+                delta, ops, hist.max_us, (99.0, 99.9)
+            )
             self._data["window_ops"][n] = float(ops)
-            self._data["window_p99_us"][n] = percentile_from_counts(
-                delta, ops, hist.max_us, 99.0
-            )
-            self._data["window_p999_us"][n] = percentile_from_counts(
-                delta, ops, hist.max_us, 99.9
-            )
+            self._data["window_p99_us"][n] = p99
+            self._data["window_p999_us"][n] = p999
             self._last_counts = hist.counts.copy()
             self._last_total = hist.total
         self.samples = n + 1
@@ -176,4 +178,4 @@ class TimeSeriesRecorder:
         )
 
 
-__all__ = ["MAX_SAMPLES", "TimeSeriesRecorder", "percentile_from_counts"]
+__all__ = ["MAX_SAMPLES", "TimeSeriesRecorder", "percentiles_from_counts"]

@@ -138,20 +138,21 @@ def diff_array_kernels(
     The array counterpart of :func:`repro.oracle.diff.diff_kernels`:
     per-device response-time trajectories, GC/IO/wear counters,
     simulated time, state snapshots and NCQ admission counters must all
-    match exactly, as must the coordinator's stats.  The always-on
-    :class:`~repro.array.telemetry.ArrayTelemetry` histograms are held
-    to exact bucket counts / totals / maxima; ``sum_us`` is compared to
-    a relative tolerance because the epoch kernel folds each batch with
-    a vectorized summation whose float addition order differs from the
+    match exactly, as must the coordinator's stats.  The global,
+    per-device and per-tenant latency histograms (the array's
+    :class:`~repro.obs.metrics.ArrayMetrics` bundle, read through
+    :class:`~repro.array.telemetry.ArrayTelemetry`) are held to exact
+    bucket counts / totals / maxima; ``sum_us`` is compared to a
+    relative tolerance because the epoch kernel folds each batch with a
+    vectorized summation whose float addition order differs from the
     reference loop's one-at-a-time accumulation.
 
-    With ``metrics=True`` an :class:`~repro.obs.metrics.ArrayMetrics`
-    bundle is attached to both replays and the kernel-independent
-    aggregates are diffed: the global request counter and latency
-    histogram plus every per-device and per-tenant child.  Time-series
-    sample counts and the batch/fallback counters are deliberately
-    *not* compared — the two kernels clock the sampler differently
-    (per completion vs per batch boundary) by design.
+    With ``metrics=True`` a caller-built ``ArrayMetrics`` bundle is
+    attached to both replays and the request counters are diffed too:
+    the global one plus every per-device and per-tenant child.
+    Time-series sample counts and the batch/fallback counters are
+    deliberately *not* compared — the two kernels clock the sampler
+    differently (per completion vs per batch boundary) by design.
     """
     import math
 
@@ -313,46 +314,6 @@ def diff_array_kernels(
                     -1,
                     "metrics",
                     f"{label}: {ra.value!r} != {rb.value!r}",
-                    scheme,
-                    policy,
-                )
-        hist_pairs = [("latency", rm.latency.hist, vm.latency.hist)]
-        hist_pairs += [
-            (f"device {i} latency", rh, vh)
-            for i, (rh, vh) in enumerate(zip(rm._device_hist, vm._device_hist))
-        ]
-        hist_pairs += [
-            (f"tenant {i} latency", rh, vh)
-            for i, (rh, vh) in enumerate(zip(rm._tenant_hist, vm._tenant_hist))
-        ]
-        for label, rh, vh in hist_pairs:
-            if not np.array_equal(rh.counts, vh.counts):
-                return Divergence(
-                    -1,
-                    "metrics",
-                    f"{label} histogram bucket counts differ",
-                    scheme,
-                    policy,
-                )
-            for sub, ra, rb in (
-                ("hist total", rh.total, vh.total),
-                ("hist max_us", rh.max_us, vh.max_us),
-            ):
-                if ra != rb:
-                    return Divergence(
-                        -1,
-                        "metrics",
-                        f"{label} {sub}: {ra!r} != {rb!r}",
-                        scheme,
-                        policy,
-                    )
-            if not math.isclose(
-                rh.sum_us, vh.sum_us, rel_tol=1e-9, abs_tol=1e-6
-            ):
-                return Divergence(
-                    -1,
-                    "metrics",
-                    f"{label} hist sum_us: {rh.sum_us!r} != {vh.sum_us!r}",
                     scheme,
                     policy,
                 )

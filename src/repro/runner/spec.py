@@ -209,7 +209,6 @@ class RunSpec:
     def execute(
         self,
         tracer=None,
-        telemetry=None,
         heartbeat=None,
         metrics="auto",
         keep_samples=True,
@@ -220,19 +219,19 @@ class RunSpec:
         exactly: ``seed=0`` replays the preset's canonical trace, other
         seeds draw an independent trace with the same characteristics.
 
-        ``tracer``/``telemetry``/``heartbeat``/``metrics`` attach
-        :mod:`repro.obs` observers to the replay (observers never enter
-        the cache key: they must not — and by construction cannot —
-        change the simulated outcome, only record it).  ``metrics``
-        defaults to ``"auto"``: a stock
-        :class:`~repro.obs.metrics.DeviceMetrics` (or ``ArrayMetrics``
-        for array specs) is attached, so every cached result carries a
-        metrics snapshot for the ``metrics``/``report --compare`` CLI
-        surfaces; pass ``None`` to run bare or a pre-built bundle to
-        control the registry/interval.  ``keep_samples=False`` switches
-        latency capture to the constant-memory histogram
-        (``response_times_us`` comes back empty); use it for
-        large-scale runs where O(requests) sample storage dominates RSS.
+        ``tracer``/``heartbeat``/``metrics`` attach :mod:`repro.obs`
+        observers to the replay (observers never enter the cache key:
+        they must not — and by construction cannot — change the
+        simulated outcome, only record it).  ``metrics`` defaults to
+        ``"auto"``: a stock :class:`~repro.obs.metrics.DeviceMetrics` is
+        attached (array specs always drive an ``ArrayMetrics``), so
+        every cached result carries a metrics snapshot for the
+        ``metrics``/``report --compare`` CLI surfaces; pass ``None`` to
+        run a single device bare or a pre-built bundle to control the
+        registry/interval.  ``keep_samples=False`` switches latency
+        capture to the constant-memory histogram (``response_times_us``
+        comes back empty); use it for large-scale runs where
+        O(requests) sample storage dominates RSS.
         """
         # Imported lazily: repro.experiments.common itself builds on the
         # runner, so a module-level import would be circular.
@@ -242,10 +241,10 @@ class RunSpec:
         sc = get_scale(self.scale)
         config = self._build_config(sc)
         if self.array_devices:
+            # An array always drives an ArrayMetrics bundle (a private
+            # one when none is given), so "auto" needs no construction.
             if metrics == "auto":
-                from repro.obs.metrics import ArrayMetrics
-
-                metrics = ArrayMetrics()
+                metrics = None
             return self._execute_array(
                 sc, config, tracer=tracer, heartbeat=heartbeat,
                 metrics=metrics, keep_samples=keep_samples,
@@ -274,7 +273,6 @@ class RunSpec:
             ftl,
             trace,
             tracer=tracer,
-            telemetry=telemetry,
             heartbeat=heartbeat,
             metrics=metrics,
             keep_samples=keep_samples,

@@ -319,8 +319,8 @@ class TestMetricsEquivalence:
             assert ra.value == rb.value
         pairs = [(rm.latency.hist, vm.latency.hist)]
         pairs += list(
-            zip(rm._device_hist + rm._tenant_hist,
-                vm._device_hist + vm._tenant_hist)
+            zip(rm.device_hists + rm.tenant_hists,
+                vm.device_hists + vm.tenant_hists)
         )
         for rh, vh in pairs:
             assert np.array_equal(rh.counts, vh.counts)

@@ -12,11 +12,14 @@ exists to show: unsynchronized per-device GC inflates the array-wide
 p999 over staggered GC windows on the same workload.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.array import ArrayTelemetry, SSDArray
 from repro.config import small_config
+from repro.obs.metrics import ArrayMetrics
 from repro.oracle.diff import build_scheme
 from repro.workloads.fiu import build_fiu_trace
 from repro.workloads.multiplex import multiplex_traces
@@ -40,6 +43,16 @@ def _gc_heavy_array_result(coordination: str):
     return SSDArray(schemes, coordination=coordination, ncq_depth=16).replay(
         merged
     )
+
+
+def _recorded(devices: int, tenants: int, completions) -> ArrayTelemetry:
+    """Feed ``(device, tenant, latency)`` completions into an
+    ArrayMetrics bundle bound to a lane-less array; return its view."""
+    metrics = ArrayMetrics()
+    metrics.bind_array(SimpleNamespace(lanes=()), devices, tenants)
+    for now, (device, tenant, latency) in enumerate(completions):
+        metrics.on_array_complete(int(device), int(tenant), float(now), float(latency))
+    return ArrayTelemetry.of(metrics)
 
 
 class TestPartitionIdentity:
@@ -87,12 +100,10 @@ class TestPartitionIdentity:
     def test_synthetic_partition(self):
         """Direct unit check, independent of the simulator."""
         rng = np.random.default_rng(3)
-        telemetry = ArrayTelemetry(devices=3, tenants=5)
         samples = rng.exponential(80.0, size=4000) + 0.2
         devices = rng.integers(0, 3, size=4000)
         tenants = rng.integers(0, 5, size=4000)
-        for lat, dev, ten in zip(samples, devices, tenants):
-            telemetry.on_complete(int(dev), int(ten), float(lat))
+        telemetry = _recorded(3, 5, zip(devices, tenants, samples))
         for folded in (telemetry.folded_by_tenant(), telemetry.folded_by_device()):
             assert np.array_equal(folded.counts, telemetry.hist.counts)
             assert folded.total == telemetry.hist.total
@@ -102,9 +113,7 @@ class TestPartitionIdentity:
             )
 
     def test_arrays_round_trip(self):
-        telemetry = ArrayTelemetry(devices=2, tenants=3)
-        for i in range(100):
-            telemetry.on_complete(i % 2, i % 3, 10.0 + i)
+        telemetry = _recorded(2, 3, ((i % 2, i % 3, 10.0 + i) for i in range(100)))
         back = ArrayTelemetry.from_arrays(telemetry.to_arrays())
         assert np.array_equal(back.hist.counts, telemetry.hist.counts)
         for a, b in zip(back.tenant_hists, telemetry.tenant_hists):
@@ -113,19 +122,81 @@ class TestPartitionIdentity:
             assert a.max_us == b.max_us
 
 
+class TestOneRecordPerFamily:
+    """The result view and the metrics registry are one aggregator:
+    ``ArrayResult.telemetry`` reads the bundle's histogram objects, and
+    every completion lands in each family exactly once."""
+
+    @pytest.mark.parametrize("coordination", ("independent", "staggered"))
+    @pytest.mark.parametrize("kernel", ("reference", "vectorized"))
+    def test_view_shares_histograms_and_counts_each_completion_once(
+        self, kernel, coordination
+    ):
+        cfg = small_config(blocks=64, pages_per_block=16, kernel=kernel)
+        tenant_traces = [
+            build_fiu_trace(
+                "mail",
+                cfg,
+                n_requests=400,
+                fill_factor=1.5,
+                lpn_utilization=0.42,
+                seed=200 + t,
+            )
+            for t in range(3)
+        ]
+        merged = multiplex_traces(
+            tenant_traces, devices=2, pages_per_device=cfg.logical_pages
+        )
+        metrics = ArrayMetrics()
+        result = SSDArray(
+            [build_scheme("cagc", "greedy", cfg) for _ in range(2)],
+            coordination=coordination,
+            ncq_depth=16,
+            metrics=metrics,
+        ).replay(merged)
+        assert result.kernel_fallback_reason is None
+        # epoch kernel actually batched; the reference loop never does
+        assert (metrics.kernel_batches.value > 0) == (kernel == "vectorized")
+
+        telemetry = result.telemetry
+        assert telemetry.hist is metrics.latency.hist
+        for i, hist in enumerate(telemetry.device_hists):
+            assert hist is metrics.device_latency.labels(i).hist
+        for t, hist in enumerate(telemetry.tenant_hists):
+            assert hist is metrics.tenant_latency.labels(t).hist
+
+        completed = sum(device.latency.count for device in result.devices)
+        assert completed == len(merged) == result.requests_completed
+        assert metrics.requests.value == completed
+        assert telemetry.hist.total == completed
+        assert sum(h.total for h in telemetry.device_hists) == completed
+        assert sum(h.total for h in telemetry.tenant_hists) == completed
+
+    def test_array_without_bundle_drives_a_private_one(self):
+        cfg = small_config(blocks=64, pages_per_block=16)
+        trace = build_fiu_trace("mail", cfg, n_requests=300)
+        merged = multiplex_traces(
+            [trace], devices=1, pages_per_device=cfg.logical_pages
+        )
+        array = SSDArray([build_scheme("baseline", "greedy", cfg)])
+        result = array.replay(merged)
+        assert isinstance(array.metrics, ArrayMetrics)
+        assert result.telemetry.hist is array.metrics.latency.hist
+        assert result.metrics.values["cagc_requests_total"] == len(merged)
+
+
 class TestSLORows:
     def test_slo_rows_cover_array_and_tenants(self):
-        telemetry = ArrayTelemetry(devices=2, tenants=3)
-        for i in range(300):
-            telemetry.on_complete(i % 2, i % 3, 50.0 + (i % 7))
+        telemetry = _recorded(
+            2, 3, ((i % 2, i % 3, 50.0 + (i % 7)) for i in range(300))
+        )
         rows = dict(telemetry.slo_rows())
         assert "array p99 / p999" in rows
         for tenant in range(3):
             assert f"tenant {tenant} p99 / p999" in rows
 
     def test_silent_tenants_skipped(self):
-        telemetry = ArrayTelemetry(devices=1, tenants=4)
-        telemetry.on_complete(0, 1, 42.0)
+        telemetry = _recorded(1, 4, [(0, 1, 42.0)])
         rows = dict(telemetry.slo_rows())
         assert "tenant 1 p99 / p999" in rows
         assert "tenant 0 p99 / p999" not in rows

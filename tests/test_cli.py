@@ -18,6 +18,18 @@ def test_run_single_experiment(capsys):
     assert "[table1]" in out
 
 
+@pytest.mark.parametrize("jobs", ("1", "2"))
+def test_run_logs_warm_line_at_every_jobs_value(jobs, tmp_path, monkeypatch, capsys):
+    # The prewarm does the replays, so the per-experiment timing line
+    # alone would read (0.0s); the warm line must show at --jobs 1 too.
+    from repro.experiments.common import reset_result_caches
+
+    monkeypatch.setenv("CAGC_CACHE_DIR", str(tmp_path))
+    reset_result_caches()
+    assert main(["run", "fig9", "--scale", "quick", "--jobs", jobs]) == 0
+    assert "(warmed 6 runs in " in capsys.readouterr().err
+
+
 def test_run_unknown_experiment_fails(capsys):
     assert main(["run", "fig99"]) == 2
     assert "error" in capsys.readouterr().err
@@ -188,6 +200,8 @@ class TestSimulateCommand:
         assert "gc" in tracks
         assert "gc.read" in tracks and "gc.write" in tracks
         assert any(t.startswith("hash-lane-") for t in tracks)
+        # the DeviceMetrics series ride along as counter tracks
+        assert "timeline" in tracks
         assert "wrote" in capsys.readouterr().err
 
     def test_simulate_vectorized_kernel_trace_and_attribution(self, tmp_path, capsys):

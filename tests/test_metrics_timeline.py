@@ -1,98 +1,25 @@
-"""Tests for the timeline recorder and its device integration."""
+"""Tests for the device's GC-activity timeline (the metrics series)."""
 
 import numpy as np
-import pytest
-
-from repro.metrics.timeline import TimelineRecorder
-
-
-class TestRecorder:
-    def test_sample_and_series(self):
-        tl = TimelineRecorder()
-        tl.sample("free", 0.0, 1.0)
-        tl.sample("free", 10.0, 0.8)
-        times, values = tl.series("free")
-        assert times.tolist() == [0.0, 10.0]
-        assert values.tolist() == [1.0, 0.8]
-
-    def test_unknown_series_empty(self):
-        times, values = TimelineRecorder().series("ghost")
-        assert times.size == 0 and values.size == 0
-
-    def test_growth_beyond_initial_capacity(self):
-        tl = TimelineRecorder()
-        for i in range(1000):
-            tl.sample("x", float(i), float(i * 2))
-        times, values = tl.series("x")
-        assert len(times) == 1000
-        assert values[-1] == 1998.0
-
-    def test_names_sorted(self):
-        tl = TimelineRecorder()
-        tl.sample("b", 0.0, 1.0)
-        tl.sample("a", 0.0, 1.0)
-        assert tl.names() == ["a", "b"]
-
-    def test_last(self):
-        tl = TimelineRecorder()
-        tl.sample("x", 1.0, 5.0)
-        tl.sample("x", 2.0, 6.0)
-        assert tl.last("x") == (2.0, 6.0)
-        with pytest.raises(KeyError):
-            tl.last("y")
-
-    def test_resample_step_interpolation(self):
-        tl = TimelineRecorder()
-        tl.sample("x", 0.0, 1.0)
-        tl.sample("x", 10.0, 2.0)
-        grid, values = tl.resample("x", points=5)
-        assert grid.tolist() == [0.0, 2.5, 5.0, 7.5, 10.0]
-        assert values.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0]
-
-    def test_resample_validation(self):
-        tl = TimelineRecorder()
-        tl.sample("x", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            tl.resample("x", points=0)
-
-    def test_resample_single_sample_is_constant(self):
-        tl = TimelineRecorder()
-        tl.sample("x", 3.0, 7.0)
-        grid, values = tl.resample("x", points=4)
-        assert grid.tolist() == [3.0, 3.0, 3.0, 3.0]
-        assert values.tolist() == [7.0, 7.0, 7.0, 7.0]
-
-    def test_resample_empty(self):
-        grid, values = TimelineRecorder().resample("x")
-        assert grid.size == 0
-
-    def test_to_dict_round_trip(self):
-        tl = TimelineRecorder()
-        tl.sample("free", 0.0, 1.0)
-        tl.sample("free", 10.0, 0.5)
-        tl.sample("erased", 10.0, 2.0)
-        doc = tl.to_dict()
-        assert sorted(doc) == ["erased", "free"]
-        assert doc["free"] == {"times_us": [0.0, 10.0], "values": [1.0, 0.5]}
-        # plain lists, JSON-serializable as-is
-        import json
-
-        json.dumps(doc)
 
 
 class TestDeviceIntegration:
     def test_device_samples_gc_activity(self):
         from repro.config import small_config
         from repro.device.ssd import SSD
+        from repro.obs import DeviceMetrics
         from repro.schemes import make_scheme
         from repro.workloads.fiu import build_fiu_trace
 
         cfg = small_config(blocks=64, pages_per_block=16)
         trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=3.0)
-        ssd = SSD(make_scheme("baseline", cfg))
-        ssd.replay(trace)
-        times, free = ssd.timeline.series("free_fraction")
-        assert times.size > 0
+        result = SSD(make_scheme("baseline", cfg), metrics=DeviceMetrics()).replay(
+            trace
+        )
+        series = result.metrics
+        free = series.column("cagc_free_fraction")
+        assert series.samples > 0
         assert ((free >= 0) & (free <= 1)).all()
-        _, erased = ssd.timeline.series("blocks_erased")
+        erased = series.column("cagc_gc_blocks_erased_total")
         assert (np.diff(erased) >= 0).all()  # cumulative counter
+        assert erased[-1] == result.gc.blocks_erased > 0

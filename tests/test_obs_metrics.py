@@ -23,7 +23,7 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     sample_id,
 )
-from repro.obs.series import TimeSeriesRecorder, percentile_from_counts
+from repro.obs.series import TimeSeriesRecorder, percentiles_from_counts
 
 
 class TestSampleId:
@@ -169,8 +169,10 @@ class TestTimeSeriesRecorder:
 
         hist = LatencyHistogram()
         hist.record(1e9)  # beyond the last edge: overflow bucket
-        p = percentile_from_counts(hist.counts, hist.total, hist.max_us, 99.0)
-        assert p == hist.max_us
+        p99, p999 = percentiles_from_counts(
+            hist.counts, hist.total, hist.max_us, (99.0, 99.9)
+        )
+        assert p99 == p999 == hist.max_us
 
 
 GRID = [

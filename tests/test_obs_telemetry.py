@@ -14,8 +14,8 @@ import pytest
 
 from repro.config import small_config
 from repro.device.ssd import SSD, run_trace
-from repro.obs import HookMux, LatencyHistogram, RunTelemetry
-from repro.obs.telemetry import GC_PHASES
+from repro.obs import DeviceMetrics, HookMux, LatencyHistogram
+from repro.obs.telemetry import GC_PHASES, gc_phase_breakdown, summary_rows
 from repro.schemes import make_scheme
 from repro.workloads.fiu import build_fiu_trace
 
@@ -120,7 +120,7 @@ class TestPhaseAttribution:
         # to more than the critical-path makespan would allow serially.
         result, _ = _small_run("cagc")
         gc = result.gc
-        phases = RunTelemetry.gc_phase_breakdown(gc)
+        phases = gc_phase_breakdown(gc)
         assert set(phases) == set(GC_PHASES)
         assert all(v >= 0 for v in phases.values())
         serial = gc.gc_read_us + gc.gc_hash_us + gc.gc_write_us + gc.gc_erase_us
@@ -136,44 +136,35 @@ class TestPhaseAttribution:
 
 
 class TestRunTelemetryLive:
+    """A run's live telemetry is its DeviceMetrics bundle: one latency
+    histogram plus the simulated-time state series."""
+
     def test_on_complete_feeds_histogram_and_snapshots(self):
         cfg = small_config(blocks=64, pages_per_block=16)
         trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=2.0)
-        telemetry = RunTelemetry(snapshot_every_us=10_000.0)
-        ssd = SSD(make_scheme("cagc", cfg), telemetry=telemetry)
+        metrics = DeviceMetrics(interval_us=10_000.0)
+        ssd = SSD(make_scheme("cagc", cfg), metrics=metrics)
         result = ssd.replay(trace)
-        assert telemetry.hist.total == result.latency.count
-        assert telemetry.hist.mean_us == pytest.approx(result.latency.mean_us)
-        assert telemetry.snapshots > 1
-        # uniform series landed in the device timeline
-        for name in ("free_fraction", "blocks_erased", "pages_migrated", "gc_busy_us"):
-            times, values = ssd.timeline.series(name)
-            assert times.size > 0, name
-            assert (np.diff(times) >= 0).all()
-
-    def test_gc_hook_snapshot_coexists_with_user_hook(self):
-        cfg = small_config(blocks=64, pages_per_block=16)
-        trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=2.0)
-        telemetry = RunTelemetry()
-        ssd = SSD(make_scheme("baseline", cfg), telemetry=telemetry)
-        calls = []
-        ssd.gc_hook = lambda dev: calls.append(dev.scheme.gc_counters.blocks_erased)
-        assert len(ssd.hooks) == 2  # telemetry snapshot + user hook
-        ssd.replay(trace)
-        assert calls, "user hook never fired"
-        assert telemetry.snapshots >= len(calls)
-
-    def test_from_result_matches_live_histogram(self):
-        result, _ = _small_run("cagc")
-        rebuilt = RunTelemetry.from_result(result)
-        assert rebuilt.hist.total == result.latency.count
-        assert rebuilt.hist.percentile(99) == pytest.approx(
-            result.latency.p99_us, rel=0.15
+        assert metrics.latency.hist.total == result.latency.count
+        assert metrics.latency.hist.mean_us == pytest.approx(result.latency.mean_us)
+        assert metrics.recorder.samples > 1
+        # the uniform state series every scheme exposes
+        snapshot = result.metrics
+        assert (np.diff(snapshot.times_us) >= 0).all()
+        for name in (
+            "cagc_free_fraction",
+            "cagc_gc_blocks_erased_total",
+            "cagc_gc_pages_migrated_total",
+            "cagc_gc_busy_us_total",
+        ):
+            assert snapshot.column(name).size == snapshot.samples, name
+        assert snapshot.column("cagc_gc_blocks_erased_total")[-1] == (
+            result.gc.blocks_erased
         )
 
     def test_summary_rows_cover_the_report(self):
         result, _ = _small_run("cagc")
-        rows = dict(RunTelemetry.summary_rows(result))
+        rows = dict(summary_rows(result))
         for key in (
             "requests",
             "write amplification",

@@ -32,7 +32,6 @@ class TestTopLevelExports:
             "repro.workloads.fiu_format",
             "repro.workloads.analysis",
             "repro.metrics",
-            "repro.metrics.timeline",
             "repro.experiments",
             "repro.obs",
             "repro.obs.trace",

@@ -23,6 +23,7 @@ from repro.device.ssd import RunResult, run_trace
 from repro.runner import (
     RunCache,
     RunSpec,
+    RunSpecError,
     SchemaMismatchError,
     result_from_bytes,
     result_to_bytes,
@@ -264,6 +265,31 @@ class TestRunSpecsEquivalence:
         run_specs([spec], cache=cache, progress=lambda s, src: events.append((s, src)))
         run_specs([spec], cache=cache, progress=lambda s, src: events.append((s, src)))
         assert events == [(spec, "run"), (spec, "cache")]
+
+
+class TestFailureIsolation:
+    """One raising spec must not throw away the rest of the batch: the
+    others still run and are cached, and the error names the culprit."""
+
+    GOOD = (
+        RunSpec(workload="mail", scheme="baseline", scale="quick"),
+        RunSpec(workload="mail", scheme="cagc", scale="quick"),
+    )
+    BAD = RunSpec(workload="mail", scheme="no-such-scheme", scale="quick")
+
+    @pytest.mark.parametrize("jobs", (1, 2), ids=("serial", "pool"))
+    def test_failing_spec_keeps_the_others(self, tmp_path, jobs):
+        cache = RunCache(tmp_path)
+        batch = [self.GOOD[0], self.BAD, self.GOOD[1]]
+        with pytest.raises(RunSpecError) as info:
+            run_specs(batch, jobs=jobs, cache=cache)
+        assert [spec for spec, _ in info.value.failures] == [self.BAD]
+        message = str(info.value)
+        assert self.BAD.label() in message
+        assert not any(spec.label() in message for spec in self.GOOD)
+        assert len(cache) == 2
+        for spec in self.GOOD:
+            assert cache.get(spec) is not None
 
 
 class TestExperimentsIntegration:
