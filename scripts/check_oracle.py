@@ -113,11 +113,11 @@ def main(argv=None) -> int:
                 devices,
                 len(trace),
             )
-            # With --kernel-equivalence the array sweep diffs the epoch
-            # kernel against the reference array loop instead of the
-            # naive oracle; rotate the NCQ depth so both the analytic
-            # occupancy counters and the scalar admission-gate replay
-            # get exercised.
+            # With --kernel-equivalence the array sweep diffs the
+            # vectorized array config against the reference array loop
+            # instead of the naive oracle; rotate the NCQ depth so the
+            # gate replay's counters are checked with the admission
+            # gate both open and closed.
             ncq_depth = (2, 4, 8, 32)[seed % 4]
             for scheme in args.schemes:
                 for policy in args.policies:

@@ -74,8 +74,8 @@ class ArrayResult:
     #: rebuilt from a cache entry written without one.
     metrics: Optional[object] = None
     #: per-device ``kernel_gc_stats`` dicts (batched-vs-scalar collect
-    #: outcomes) when the epoch kernel replayed the array; empty on the
-    #: reference loop.
+    #: outcomes) when the per-lane vectorized kernel replayed the array
+    #: (``independent`` coordination only); empty on the reference loop.
     kernel_gc: Tuple[Dict[str, int], ...] = ()
 
     def __len__(self) -> int:
@@ -127,9 +127,6 @@ class _ArrayLane(SSD):
         self.ncq_peak = 0
         self.ncq_held = 0
         self.rows_done = False
-        #: set to the epoch runner while the vectorized array kernel
-        #: drives this lane (idle-burst completions route to it).
-        self._epoch = None
 
     @property
     def busy(self) -> bool:
@@ -233,12 +230,6 @@ class _ArrayLane(SSD):
         self.last_event_us = self.sim.now
         if self._coord is not None:
             self._coord.on_collection_done(self, self.sim.now)
-        if self._epoch is not None:
-            # Epoch-kernel mode keeps no event-queue rows; the runner
-            # owns the queue-or-idle decision the inherited handler
-            # would make.
-            self._epoch.on_bg_gc_done(self)
-            return
         super()._on_bg_gc_done(event)
 
     # ------------------------------------------------------- lifecycle
@@ -351,9 +342,10 @@ class SSDArray:
             reason = array_kernel_eligible(self, trace)
             if reason is None:
                 return replay_array_vectorized(self, trace, tenants)
-            # Something in the replay is outside the epoch model; run
-            # the reference loop and tag the fallback so kernel-matrix
-            # CI can tell "reference on purpose" from "silently slow".
+            # Something in the replay (a coordinator included) is
+            # outside the per-lane model; run the reference loop and tag
+            # the fallback so kernel-matrix CI can tell "reference on
+            # purpose" from "silently slow".
             self.kernel_fallback_reason = reason
             if self.tracer is not None:
                 self.tracer.instant(

@@ -776,7 +776,7 @@ def _array_report_rows(result) -> List[tuple]:
                 )
             )
     # Per-device batched-vs-scalar CAGC collect outcomes, present only
-    # when the epoch kernel replayed the array.
+    # when the per-lane vectorized kernel replayed the array.
     for device, stats in enumerate(getattr(result, "kernel_gc", ()) or ()):
         if stats and any(stats.values()):
             rows.append(

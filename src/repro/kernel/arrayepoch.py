@@ -1,181 +1,48 @@
-"""Epoch-batched array replay: vectorized kernels across N lanes.
+"""Per-lane array replay: the vectorized kernel across N lanes.
 
 ``replay_array_vectorized`` reproduces :meth:`repro.array.SSDArray
 .replay` bit for bit without running every request through the shared
-event loop.  The array's coupling surface is narrow by construction:
+event loop, for the one case where that pays: ``independent``
+coordination.  There the array's coupling surface is empty:
 
 * the :class:`~repro.array.router.RangeRouter` is a pure function of
-  the LPN, so the merged multi-tenant stream splits into per-device
-  sub-streams in one vectorized pass (:func:`split_epoch_streams`);
+  the LPN, so ``RangeRouter.split`` hands each device its sub-stream
+  in one vectorized pass;
+* with no coordinator, devices never interact, so each lane replays
+  its whole sub-stream through the single-device kernel
+  (:func:`repro.kernel.orchestrator.replay_vectorized`) on its own
+  clock, and the shared clock only has to end at the latest lane;
 * NCQ admission is trajectory-transparent — a bounded queue ahead of a
   FIFO work-conserving server never changes completion times — so the
-  gate's ``peak``/``held`` counters are recomputed analytically from
-  the per-device arrival/completion columns after the fact;
-* devices interact only through the GC-coordination policy.  Under
-  ``independent`` there is no interaction at all and the epochs
-  degenerate to full-trace per-device runs through the existing
-  single-device kernel (:func:`repro.kernel.orchestrator
-  .replay_vectorized`).  Under ``staggered``/``global-token`` each
-  lane replays *epochs*: batched runs up to the next cross-device
-  synchronization point — the predicted foreground GC grant (the first
-  write that would drop free blocks below the reserve), or an idle gap
-  with background reclamation pending (where the real coordinator gets
-  to decide about windows and tokens) — then advances the shared clock
-  to that barrier through the ordinary event heap and repeats.
+  gate's ``peak``/``held`` counters are recomputed after the fact by a
+  scalar replay of the gate over the lane's arrival and completion
+  columns (:func:`_gate_replay`).
 
-The coordinated epoch planner leans on one watermark fact: a deferred
-foreground GC (``GCCoordinator._defer`` -> ``_restore_reserve``) does
-*zero work* while ``free_blocks >= reserve_blocks()`` — it only bumps
-the deferral counter and emits a tracer instant.  Free blocks fall
-monotonically inside a run (no GC between requests), so both the
-deferral onset and the first *working* grant are exact integer prefix
-scans over the write page counts, just like the single-device
-GC-trigger prediction.  Idle-gap barriers are equally analytic: the
-background-need onset is a prefix scan too, and a gap only matters
-once ``needs_background_gc()`` is true (before that, ``on_idle`` and
-``on_window`` are no-ops for every policy).
-
-Fallback stays reason-tagged at the same three granularities the
-single-device kernel established:
-
-* ``array-unmodelled`` — whole-array: a feature the epoch model does
-  not cover (preemptive lanes, heartbeat observers, streaming traces,
-  coordinated replays with negative fingerprints);
-* ``array-coord-grant`` — per-request: a coordination grant boundary
-  (the write whose deferral must actually reclaim) re-enters the
-  reference scheme calls, composing like ``gc-trigger``/``trim``;
-* ``array-ncq-stall`` — per-lane counters: the closed-form NCQ
-  occupancy hit an admission tie or a closed gate and the counters
-  were re-derived through the scalar gate replay (trajectories are
-  gate-independent, so this never touches timing).
+``staggered`` and ``global-token`` replays couple the lanes through
+coordinator grants, windows and idle bursts; they run the reference
+array loop.  Whatever the kernel does not model falls back wholesale
+with the one array reason, ``array-unmodelled`` (coordinated replays,
+preemptive lanes, write buffers, heartbeat observers, streaming
+traces), so a reference-loop replay on a vectorized config is always
+tagged, never silent.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.ftl.allocator import Region
-from repro.kernel._njit import completion_recurrence, first_trigger
-from repro.kernel.cagcmig import install_fast_cagc
-from repro.kernel.gcmig import install_fast_gc
-from repro.kernel.inline import apply_inline_run, plan_inline_run
-from repro.kernel.orchestrator import (
-    _PLAN_WINDOW_MAX,
-    _PLAN_WINDOW_MIN,
-    replay_vectorized,
-)
-from repro.kernel.views import ColumnViews
-from repro.kernel.write import apply_write_run
-from repro.obs.trace import TRACK_ARRAY, TRACK_KERNEL
+from repro.kernel.orchestrator import replay_vectorized
 from repro.schemes.inline_dedupe import InlineDedupeScheme
-from repro.sim.events import EventKind
-from repro.workloads.request import OpKind
 
-_OP_WRITE = int(OpKind.WRITE)
-_OP_TRIM = int(OpKind.TRIM)
-
-#: Whole-array fallback reason: some device or observer feature is
-#: outside the epoch model and the replay runs the reference loop.
+#: The array tier's fallback reason: some device, observer or
+#: coordination feature is outside the per-lane model and the replay
+#: runs the reference loop.
 FALLBACK_UNMODELLED = "array-unmodelled"
-#: Per-request fallback reason: a coordination grant boundary (the
-#: deferral that must actually restore the reserve) went through the
-#: reference scheme calls.
-FALLBACK_COORD_GRANT = "array-coord-grant"
-#: Per-lane counter fallback reason: NCQ peak/held re-derived via the
-#: scalar admission-gate replay (closed gate or an arrival/completion
-#: tie the closed form cannot order).
-FALLBACK_NCQ_STALL = "array-ncq-stall"
-
-ARRAY_FALLBACK_REASONS = (
-    FALLBACK_COORD_GRANT,
-    FALLBACK_NCQ_STALL,
-    FALLBACK_UNMODELLED,
-)
-
-
-# --------------------------------------------------------------- splitter
-
-
-def split_epoch_streams(router, trace) -> List[Tuple[object, np.ndarray, np.ndarray]]:
-    """Split ``trace`` per device, keeping the merged-stream positions.
-
-    Returns one ``(sub_trace, tenant_ids, merged_indices)`` triple per
-    device.  ``merged_indices[k]`` is the position in the merged trace
-    of the sub-trace's ``k``-th request — ascending per device (the
-    router preserves relative order), and the index arrays partition
-    ``arange(len(trace))`` exactly (every request lands on exactly one
-    device).  The Hypothesis suite pins both properties.
-    """
-    subs = router.split(trace)
-    if len(trace):
-        device_ids = trace.lpns // router.pages_per_device
-    else:
-        device_ids = np.zeros(0, dtype=np.int64)
-    out = []
-    for device, (sub, tenants) in enumerate(subs):
-        idx = np.nonzero(device_ids == device)[0]
-        out.append((sub, tenants, idx))
-    return out
-
-
-def merge_completions(
-    per_device_completions: List[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable merge of per-device completion columns.
-
-    Returns ``(times, devices)`` ordered by completion time with ties
-    broken by device index then per-device order — the order the
-    shared event heap would drain same-time completions scheduled in
-    lane order.  Stability is what makes epoch barriers safe: merging
-    each side of any barrier time separately and concatenating equals
-    filtering the full merge, so barriers can never reorder
-    cross-device completions (the property suite pins this).
-    """
-    if not per_device_completions:
-        return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
-    times = np.concatenate(
-        [np.asarray(c, dtype=np.float64) for c in per_device_completions]
-    )
-    devices = np.concatenate(
-        [
-            np.full(len(c), d, dtype=np.int64)
-            for d, c in enumerate(per_device_completions)
-        ]
-    )
-    order = np.argsort(times, kind="stable")
-    return times[order], devices[order]
 
 
 # ---------------------------------------------------------- NCQ counters
-
-
-def ncq_occupancy(
-    arrivals: np.ndarray, completions: np.ndarray, depth: int
-) -> Tuple[int, int, bool]:
-    """``(peak, held, scalar)`` for one lane's admission gate.
-
-    When the unbounded in-flight window never reaches ``depth`` and no
-    completion lands exactly on an arrival instant, the closed form is
-    exact: occupancy just after arrival ``i`` is ``i + 1`` minus the
-    completions strictly before it, and nothing is ever held.  Any
-    closed gate or tie drops to :func:`_gate_replay` (``scalar`` is
-    then True, reported as ``array-ncq-stall`` in the attribution).
-    """
-    n = int(arrivals.size)
-    if n == 0:
-        return 0, 0, False
-    a = np.ascontiguousarray(arrivals, dtype=np.float64)
-    c = np.ascontiguousarray(completions, dtype=np.float64)
-    freed = np.searchsorted(c, a, side="left")
-    peak = int((np.arange(1, n + 1) - freed).max())
-    tie = bool(np.isin(a, c).any())
-    if peak < depth and not tie:
-        return peak, 0, False
-    peak, held = _gate_replay(a, c, depth)
-    return peak, held, True
 
 
 def _gate_replay(a: np.ndarray, c: np.ndarray, depth: int) -> Tuple[int, int]:
@@ -267,7 +134,7 @@ class _LaneFold:
     (batch boundaries instead of per completion, the same deliberate
     trade-off the single-device kernel makes).  It also keeps the
     lane's latency column so completions (arrival + latency) can be
-    reconstructed for the NCQ counters.
+    reconstructed for the gate replay.
     """
 
     __slots__ = ("metrics", "device", "tenants", "cursor", "parts")
@@ -311,19 +178,20 @@ class _LaneFold:
 
 
 def array_kernel_eligible(array, trace) -> Optional[str]:
-    """``None`` when the epoch orchestrator models this replay exactly,
+    """``None`` when the per-lane kernel models this replay exactly,
     else the ``array-unmodelled`` fallback reason.
 
-    Mirrors the single-device :func:`repro.kernel.orchestrator
+    Only ``independent`` coordination is modelled: a coordinator
+    couples the lanes, and those replays run the reference loop.  The
+    rest mirrors the single-device :func:`repro.kernel.orchestrator
     .kernel_eligible` axes per lane (blocking GC, no write buffer,
-    bulk or inline-dedupe scheme, a sliceable trace) and adds the
-    array-only ones: heartbeat observers clock per completion on the
-    shared loop, and coordinated replays of hand-built traces with
-    negative fingerprints would interleave per-request fallbacks with
-    coordination decisions the planner cannot predict.  The array's
-    :class:`~repro.obs.metrics.ArrayMetrics` bundle never blocks the
-    kernel — the lane folds feed it batch-exactly.
+    bulk or inline-dedupe scheme, a sliceable trace), plus heartbeat
+    observers, which clock per completion on the shared loop.  The
+    array's :class:`~repro.obs.metrics.ArrayMetrics` bundle never
+    blocks the kernel — the lane folds feed it batch-exactly.
     """
+    if array.coordinator is not None:
+        return FALLBACK_UNMODELLED
     for lane in array.lanes:
         scheme = lane.scheme
         if scheme.config.kernel != "vectorized":
@@ -341,31 +209,26 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
     times = getattr(trace, "times_us", None)
     if times is None or not hasattr(trace, "iter_chunks"):
         return FALLBACK_UNMODELLED  # streaming traces: no random access
-    if array.coordinator is not None:
-        fps = getattr(trace, "fps_flat", None)
-        if fps is not None and fps.size and bool((fps < 0).any()):
-            return FALLBACK_UNMODELLED
     return None
 
 
-# -------------------------------------------------------- independent N
+# ----------------------------------------------------------- entry point
 
 
-def _replay_independent(array, subs) -> Tuple[list, list, list, int]:
-    """Degenerate epochs: one full-trace kernel run per lane.
+def replay_array_vectorized(array, trace, tenants: int):
+    """Replay ``trace`` one full-trace kernel run per lane.
 
-    Lanes never interact under ``independent`` coordination (no
-    coordinator, NCQ trajectory-transparent), so each lane replays its
-    sub-stream through the single-device vectorized kernel on its own
-    clock; the shared clock only has to end at the latest lane.
+    The caller (:meth:`SSDArray.replay`) has already verified
+    :func:`array_kernel_eligible` and bound the metrics bundle; this
+    returns the fully-populated :class:`~repro.array.device
+    .ArrayResult` with ``kernel_fallback_reason=None``.
     """
-    results = []
-    folds = []
-    completions = []
-    scalar_gates = 0
+    from repro.array.device import ArrayResult
+    from repro.array.telemetry import ArrayTelemetry
+
     sim = array.sim
-    for lane, (sub, tenants, _idx) in zip(array.lanes, subs):
-        fold = _LaneFold(array.metrics, lane.index, tenants)
+    for lane, (sub, tenants_of) in zip(array.lanes, array.router.split(trace)):
+        fold = _LaneFold(array.metrics, lane.index, tenants_of)
         # Assigned post-construction on purpose: the constructor path
         # would bind the lane's own gauges into a registry.
         lane.metrics = fold
@@ -378,613 +241,13 @@ def _replay_independent(array, subs) -> Tuple[list, list, list, int]:
         lats = fold.latencies()
         arr = np.asarray(sub.times_us, dtype=np.float64)
         comp = arr + lats if lats.size == len(sub) else arr
-        peak, held, scalar = ncq_occupancy(arr, comp, array.ncq_depth)
-        lane.ncq_peak = peak
-        lane.ncq_held = held
-        scalar_gates += int(scalar)
-        if scalar and array.tracer is not None:
-            array.tracer.instant(
-                TRACK_ARRAY,
-                "kernel-fallback",
-                float(lane.last_event_us),
-                reason=FALLBACK_NCQ_STALL,
-                device=lane.index,
-            )
-        results.append(result)
-        folds.append(fold)
-        completions.append(comp)
-    sim.now = max([lane.last_event_us for lane in array.lanes] + [0.0])
-    return results, folds, completions, scalar_gates
-
-
-# -------------------------------------------------------- coordinated N
-
-
-class _LaneState:
-    """One lane's replay cursor for the coordinated epoch runner."""
-
-    __slots__ = (
-        "lane", "sub", "fold", "n", "i", "t", "times", "ops", "lpns",
-        "npages", "offsets", "fps_flat", "is_write", "is_trim", "wn_all",
-        "cum_pages", "contiguous", "durations", "trim_positions",
-        "write_positions", "inline", "views", "window", "resume_pending",
-        "run_end",
-    )
-
-    def __init__(self, lane, sub, tenants, metrics) -> None:
-        self.lane = lane
-        self.sub = sub
-        self.fold = _LaneFold(metrics, lane.index, tenants)
-        lane._trace_name = sub.name
-        lane.rows_done = False
-        scheme = lane.scheme
-        self.inline = not scheme.bulk_user_writes
-        self.views = ColumnViews(scheme)
-        install_fast_gc(scheme, self.views) or install_fast_cagc(
-            scheme, self.views
-        )
-        n = len(sub)
-        self.n = n
-        self.i = 0
-        self.t = 0.0  # completion time of this lane's previous request
-        self.window = 1024
-        self.resume_pending = False
-        self.run_end = 0.0
-        times = np.ascontiguousarray(sub.times_us, dtype=np.float64)
-        self.times = times
-        self.ops = sub.ops
-        self.lpns = sub.lpns
-        self.npages = sub.npages
-        self.offsets = sub.fp_offsets
-        self.fps_flat = sub.fps_flat
-        is_write = self.ops == _OP_WRITE
-        is_trim = self.ops == _OP_TRIM
-        self.is_write = is_write
-        self.is_trim = is_trim
-        lengths = self.offsets[1:] - self.offsets[:-1]
-        wn_all = np.where(is_write, lengths, 0).astype(np.int64)
-        self.wn_all = wn_all
-        #: pages written up to and including each position — the
-        #: background-need onset scan keys off the *post*-request state.
-        self.cum_pages = np.cumsum(wn_all)
-        self.contiguous = int(np.where(~is_write, lengths, 0).sum()) == 0
-        timing = scheme.timing
-        channels = scheme.flash.geometry.channels
-        slots = (self.npages.astype(np.int64) + (channels - 1)) // channels
-        self.durations = np.where(
-            is_write,
-            np.where(
-                wn_all > 0,
-                timing.overhead_us
-                + ((wn_all + (channels - 1)) // channels) * timing.write_us,
-                timing.overhead_us + timing.lookup_us,
-            ),
-            np.where(
-                is_trim,
-                timing.overhead_us + timing.lookup_us * self.npages,
-                np.where(
-                    self.npages > 0,
-                    timing.overhead_us + slots * timing.read_us,
-                    timing.overhead_us,
-                ),
-            ),
-        ).astype(np.float64)
-        self.trim_positions = np.nonzero(is_trim)[0]
-        self.write_positions = np.nonzero(is_write)[0]
-
-
-def _pulls(cum: np.ndarray, af0: int, ppb: int) -> np.ndarray:
-    """Active-block pulls needed for ``cum`` pages (exact integers)."""
-    return np.maximum(0, (cum - af0 + ppb - 1) // ppb)
-
-
-class _EpochRunner:
-    """Coordinated replay: batched epochs on the real event heap.
-
-    Each lane alternates between (a) committing one *run* — a batch of
-    requests with no working GC grant, no trim, and no idle gap with
-    background need — through the vectorized kernels, and (b) handing
-    control back to the shared event heap until the run's completion
-    time, so window ticks, token grants and idle bursts fire through
-    the stock coordinator code at exactly the reference instants.
-    State effects apply at commit time; that is safe because no other
-    lane ever reads this lane's scheme state, and every coordinator
-    decision about this lane while a run is in flight short-circuits
-    on ``busy``.
-    """
-
-    def __init__(self, array, subs) -> None:
-        self.array = array
-        self.sim = array.sim
-        self.tracer = array.tracer
-        self.states: List[_LaneState] = []
-        for lane, (sub, tenants, _idx) in zip(array.lanes, subs):
-            state = _LaneState(lane, sub, tenants, array.metrics)
-            lane._epoch = self
-            self.states.append(state)
-
-    def run(self) -> None:
-        for state in self.states:
-            if state.n:
-                self.advance(state)
-            else:
-                state.lane.rows_done = True
-        self.sim.run()
-        for state in self.states:
-            state.lane._epoch = None
-
-    # ------------------------------------------------------------ events
-
-    def advance(self, state: _LaneState) -> None:
-        """Plan the lane's next step at the current shared-clock event."""
-        lane = state.lane
-        if state.i >= state.n:
-            lane.rows_done = True
-            return
-        now = self.sim.now
-        if (
-            state.times[state.i] > now
-            and lane.scheme.needs_background_gc()
-        ):
-            # Genuine idle gap with reclamation pending: stay idle so
-            # window ticks / token hand-offs happen at real instants,
-            # and resume at the next arrival.
-            lane._busy = False
-            if not state.resume_pending:
-                state.resume_pending = True
-                self.sim.schedule_at(
-                    float(state.times[state.i]),
-                    EventKind.GENERIC,
-                    state,
-                    self._on_resume,
-                )
-            return
-        self._commit_next(state)
-
-    def _on_resume(self, event) -> None:
-        state = event.payload
-        state.resume_pending = False
-        if state.lane.busy or state.i >= state.n:
-            return  # an idle burst (and its follow-up) got here first
-        self.advance(state)
-
-    def _on_run_start(self, event) -> None:
-        # Intermediate hop at the run's *last service start*: the
-        # reference schedules the final completion event there, so
-        # scheduling RUN_DONE from this instant keeps exact-time ties
-        # between lanes (token contention, window edges) in the same
-        # heap order as the reference.
-        state = event.payload
-        self.sim.schedule_at(
-            state.run_end, EventKind.OP_COMPLETE, state, self._on_run_done
-        )
-
-    def _on_run_done(self, event) -> None:
-        state = event.payload
-        lane = state.lane
-        now = self.sim.now
-        lane.last_event_us = now
-        lane._busy = False
-        if state.i >= state.n:
-            lane.rows_done = True
-            lane._maybe_background_gc()  # end-of-stream on_idle
-            return
-        if state.times[state.i] > now:
-            lane._maybe_background_gc()  # queue-empty on_idle
-            if not lane.busy:
-                self.advance(state)
-            return
-        self._commit_next(state)
-
-    def on_bg_gc_done(self, lane) -> None:
-        """Idle-burst completion for an epoch-mode lane.
-
-        Replaces ``SSD._on_bg_gc_done``'s queue-or-idle tail (the
-        epoch lanes keep no event-queue rows): after the stock
-        bookkeeping, service anything already due, else re-enter the
-        idle decision chain exactly like the reference's empty-queue
-        branch.
-        """
-        state = self.states[lane.index]
-        now = self.sim.now
-        lane._busy = False
-        if lane.hooks:
-            lane.hooks(lane)
-        if now > state.t:
-            state.t = now  # the burst occupied the server
-        if state.i >= state.n:
-            lane.rows_done = True
-            lane._maybe_background_gc()
-            return
-        if state.times[state.i] <= now:
-            self._commit_next(state)
-            return
-        lane._maybe_background_gc()
-        if not lane.busy:
-            self.advance(state)
-
-    # ------------------------------------------------------------ commit
-
-    def _commit_next(self, state: _LaneState) -> None:
-        """Commit one batched run (or one scalar boundary request)."""
-        lane = state.lane
-        scheme = lane.scheme
-        allocator = scheme.allocator
-        ppb = scheme.flash.pages_per_block
-        hot = Region.HOT
-        i = state.i
-        n = state.n
-        times = state.times
-        wall0 = time.perf_counter()
-
-        trim_idx = np.searchsorted(state.trim_positions, i)
-        next_trim = (
-            int(state.trim_positions[trim_idx])
-            if trim_idx < state.trim_positions.size
-            else n
-        )
-        win = min(i + state.window, next_trim, n)
-        lo = int(np.searchsorted(state.write_positions, i))
-        hi = int(np.searchsorted(state.write_positions, win))
-        w = state.write_positions[lo:hi]
-        e = win
-        reason: Optional[str] = None
-        plan = None
-        wfps = None
-        wn = None
-        progs = None
-        af0 = (
-            allocator._active_free[hot]
-            if allocator._active[hot] is not None
-            else 0
-        )
-        free0 = allocator.free_blocks
-        budget_reserve = free0 - scheme.reserve_blocks()
-        if w.size:
-            wn = state.wn_all[w]
-            pages = int(wn.sum())
-            if state.contiguous:
-                wfps = state.fps_flat[state.offsets[i] : state.offsets[win]]
-            else:
-                wfps = (
-                    np.concatenate(
-                        [
-                            state.fps_flat[
-                                state.offsets[j] : state.offsets[j + 1]
-                            ]
-                            for j in w.tolist()
-                        ]
-                    )
-                    if pages
-                    else state.fps_flat[:0]
-                )
-            if state.inline:
-                jw, plan = plan_inline_run(
-                    scheme, state.views, state.lpns[w], wn, wfps,
-                    af0, budget_reserve, ppb,
-                )
-                progs = plan.programs
-            else:
-                cum_before = np.cumsum(wn) - wn
-                jw = first_trigger(cum_before, af0, ppb, budget_reserve)
-                jw = int(w.size) if jw < 0 else int(jw)
-                progs = wn
-            if jw < w.size:
-                e = int(w[jw])
-                reason = FALLBACK_COORD_GRANT
-                w = w[:jw]
-                wn = wn[:jw]
-                progs = progs[:jw]
-                wfps = wfps[: int(wn.sum())]
-        if reason is None and e == next_trim and e < n:
-            reason = "trim"
-        if state.inline and w.size:
-            timing = scheme.timing
-            channels = scheme.flash.geometry.channels
-            lanes_ = timing.hash_lanes
-            pr = progs[: w.size]
-            base_w = np.where(
-                pr > 0,
-                timing.overhead_us
-                + ((pr + (channels - 1)) // channels) * timing.write_us,
-                timing.overhead_us,
-            )
-            state.durations[w] = (
-                base_w
-                + ((wn + (lanes_ - 1)) // lanes_) * timing.hash_us
-                + wn * timing.lookup_us
-                + np.where(pr == 0, timing.lookup_us, 0.0)
-            )
-
-        if e > i:
-            # Idle-gap barrier: the first completion that strictly
-            # precedes the next arrival *while background reclamation
-            # is needed* hands control to the coordinator.  Before the
-            # need onset, on_idle/on_window decline for every policy,
-            # so earlier gaps stay inside the run.
-            seg_times = times[i:e]
-            completions, t_end = completion_recurrence(
-                seg_times,
-                np.ascontiguousarray(state.durations[i:e]),
-                state.t,
-            )
-            cut = self._bg_gap_cut(
-                state, i, e, completions, af0, free0, ppb, progs, w
-            )
-            if cut is not None:
-                e = cut
-                reason = None
-                completions = completions[: e - i]
-                t_end = float(completions[-1])
-                keep = int(np.searchsorted(w, e))
-                w = w[:keep]
-                if wn is not None:
-                    wn = wn[:keep]
-                    progs = progs[:keep]
-                    wfps = wfps[: int(wn.sum())]
-                if state.inline and w.size:
-                    # Plans aggregate window-level state (refcount and
-                    # overlay deltas), so a shortened run re-resolves;
-                    # the per-request outcomes are prefix-stable, so
-                    # the already-used durations are unchanged.
-                    _, plan = plan_inline_run(
-                        scheme, state.views, state.lpns[w], wn,
-                        wfps, af0, budget_reserve, ppb,
-                    )
-            self._commit_run(
-                state, i, e, completions, t_end, w, wn, wfps, progs,
-                plan, af0, free0, wall0,
-            )
-            return
-        # Empty run: request i itself is the boundary (working grant or
-        # trim) and goes through the reference scheme calls.
-        self._commit_scalar(state, reason or FALLBACK_COORD_GRANT, wall0)
-
-    def _bg_gap_cut(
-        self, state, i, e, completions, af0, free0, ppb, progs, w
-    ) -> Optional[int]:
-        """First index after which an idle gap with background need
-        opens inside ``[i, e)``, or ``None`` when the run is whole.
-
-        A gap at position ``k`` (completion ``k`` strictly before
-        arrival ``k+1``) matters only once ``needs_background_gc()``
-        holds after request ``k`` — before that every policy's
-        ``on_idle``/``on_window`` declines.  The need onset is the
-        first write whose *inclusive* program count pulls free blocks
-        below the stop watermark (free blocks fall monotonically
-        inside a run).  The trailing gap (after ``e - 1``) is handled
-        by the run-done event, not here.
-        """
-        if e - i < 2:
-            return None
-        scheme = state.lane.scheme
-        if scheme.needs_background_gc():
-            j_bg = i  # background need is already pending at run start
-        else:
-            if w is None or not w.size:
-                return None  # no writes: need cannot arise inside the run
-            cum_incl = np.cumsum(progs[: w.size])
-            pulls = _pulls(cum_incl, af0, ppb)
-            hit = pulls > free0 - scheme._gc_stop_blocks
-            if not hit.any():
-                return None
-            j_bg = int(w[int(np.argmax(hit))])
-        if j_bg >= e - 1:
-            return None
-        gaps = completions[: e - i - 1] < state.times[i + 1 : e]
-        rel0 = j_bg - i
-        if rel0 > 0:
-            gaps = gaps.copy()
-            gaps[:rel0] = False
-        if not gaps.any():
-            return None
-        return i + int(np.argmax(gaps)) + 1
-
-    def _commit_run(
-        self, state, i, e, completions, t_end, w, wn, wfps, progs,
-        plan, af0, free0, wall0,
-    ) -> None:
-        lane = state.lane
-        scheme = lane.scheme
-        seg_times = state.times[i:e]
-        lat_batch = completions - seg_times
-        lane.latency.record_many(lat_batch)
-        lane.requests_completed += e - i
-        state.fold.on_batch(lat_batch, t_end, lane)
-        seg_reads = int((~state.is_write[i:e]).sum())  # no trims in a run
-        if seg_reads:
-            io = scheme.io_counters
-            io.read_requests += seg_reads
-            io.pages_read += int(
-                np.where(~state.is_write[i:e], state.npages[i:e], 0).sum()
-            )
-        pages = 0
-        last_start = float(t_end - state.durations[e - 1])
-        if w.size:
-            pages = int(wn.sum())
-            starts = completions[w - i] - state.durations[w]
-            if state.inline:
-                apply_inline_run(
-                    scheme, state.views, state.lpns[w], wn, wfps, starts, plan
-                )
-            else:
-                apply_write_run(
-                    scheme, state.views, state.lpns[w], wn, wfps, starts
-                )
-            self._count_deferrals(state, progs[: w.size], starts, af0, free0)
-        if self.tracer is not None:
-            ts = float(completions[0] - state.durations[i])
-            self.tracer.span(
-                TRACK_KERNEL, "batch", ts, float(t_end - ts),
-                requests=e - i, pages=pages,
-                wall_us=(time.perf_counter() - wall0) * 1e6,
-            )
-            self.tracer.counter(TRACK_KERNEL, "batch_requests", ts, e - i)
-        state.i = e
-        state.t = float(t_end)
-        state.run_end = float(t_end)
-        # Adapt the plan window to the observed run length (same policy
-        # as the single-device inline planner: boundaries shrink it to
-        # ~2x the run, unbroken windows double it).
-        run_len = e - i
-        if run_len >= state.window:
-            if state.window < _PLAN_WINDOW_MAX:
-                state.window = min(_PLAN_WINDOW_MAX, state.window * 2)
-        else:
-            state.window = min(
-                _PLAN_WINDOW_MAX, max(_PLAN_WINDOW_MIN, 2 * run_len)
-            )
-        lane._busy = True
-        # Two-hop completion scheduling: hop to the last request's
-        # service start first so same-time completion ties across lanes
-        # drain in the reference heap's schedule order (the reference
-        # schedules each completion event at its service start).
-        now = self.sim.now
-        self.sim.schedule_at(
-            last_start if last_start > now else now,
-            EventKind.GENERIC, state, self._on_run_start,
-        )
-
-    def _count_deferrals(self, state, progs, starts, af0, free0) -> None:
-        """Batch the no-op deferrals the committed writes would log.
-
-        Every coordinated write below the GC-trigger watermark calls
-        ``foreground_gc`` -> ``_defer``; inside a run the reserve is
-        never breached, so each is one counter bump plus (when traced)
-        a ``gc-deferred`` instant with zero emergency time — nothing
-        else.  The onset is a prefix scan over the pre-write program
-        counts: free blocks only fall inside a run.
-        """
-        scheme = state.lane.scheme
-        cum_before = np.cumsum(progs) - progs
-        pulls = _pulls(cum_before, af0, ppb=scheme.flash.pages_per_block)
-        deferred = pulls > free0 - scheme._gc_trigger_blocks
-        count = int(deferred.sum())
-        if not count:
-            return
-        coord = self.array.coordinator
-        coord.deferrals += count
-        if self.tracer is not None:
-            device = state.lane.index
-            for ts in starts[deferred]:
-                self.tracer.instant(
-                    TRACK_ARRAY,
-                    "gc-deferred",
-                    float(ts),
-                    device=device,
-                    emergency_us=0.0,
-                )
-
-    def _commit_scalar(self, state, reason: str, wall0: float) -> None:
-        """One boundary request through the reference scheme calls."""
-        lane = state.lane
-        scheme = lane.scheme
-        timing = scheme.timing
-        i = state.i
-        arrival = float(state.times[i])
-        start = arrival if arrival > state.t else state.t
-        op = int(state.ops[i])
-        lpn = int(state.lpns[i])
-        npages = int(state.npages[i])
-        if op == _OP_WRITE:
-            fview = state.fps_flat[state.offsets[i] : state.offsets[i + 1]]
-            gc_us = lane._gc_before_write(start)
-            outcome = scheme.write_request(lpn, fview, start + gc_us)
-            service = timing.write_request_us(
-                outcome.programs, scheme.flash.geometry.channels
-            )
-            if outcome.hashed_pages:
-                service += timing.inline_dedup_us(outcome.hashed_pages)
-            if outcome.programs == 0:
-                service += timing.lookup_us
-            duration = gc_us + service
-        elif op == _OP_TRIM:
-            scheme.trim_request(lpn, npages, start)
-            duration = timing.overhead_us + timing.lookup_us * npages
-        else:  # pragma: no cover - reads never form boundaries
-            scheme.read_request(lpn, npages)
-            duration = timing.read_request_us(
-                npages, scheme.flash.geometry.channels
-            )
-        completion = start + duration
-        lane.latency.record(completion - arrival)
-        lane.requests_completed += 1
-        state.fold.on_complete(completion, completion - arrival, lane)
-        state.fold.on_fallback(reason)
-        if self.tracer is not None:
-            self.tracer.span(
-                TRACK_KERNEL, "fallback", start, duration,
-                requests=1, wall_us=(time.perf_counter() - wall0) * 1e6,
-                reason=reason,
-            )
-        state.i = i + 1
-        state.t = completion
-        state.run_end = completion
-        lane._busy = True
-        self.sim.schedule_at(
-            max(start, self.sim.now), EventKind.GENERIC, state,
-            self._on_run_start,
-        )
-
-
-# ----------------------------------------------------------- entry point
-
-
-def replay_array_vectorized(array, trace, tenants: int):
-    """Replay ``trace`` through the epoch orchestrator; see module docs.
-
-    The caller (:meth:`SSDArray.replay`) has already verified
-    :func:`array_kernel_eligible` and bound the metrics bundle; this
-    returns the fully-populated :class:`~repro.array.device
-    .ArrayResult` with ``kernel_fallback_reason=None``.
-    """
-    from repro.array.coord import StaggeredCoordinator
-    from repro.array.device import ArrayResult
-    from repro.array.telemetry import ArrayTelemetry
-
-    subs = split_epoch_streams(array.router, trace)
-    if array.coordinator is None:
-        _results, folds, completions, _scalars = _replay_independent(
-            array, subs
-        )
-    else:
-        runner = _EpochRunner(array, subs)
-        if isinstance(array.coordinator, StaggeredCoordinator):
-            array._schedule_window(array.coordinator.window_us)
-        runner.run()
-        folds = [state.fold for state in runner.states]
-        completions = []
-        for state in runner.states:
-            lats = state.fold.latencies()
-            comp = (
-                state.times + lats
-                if lats.size == state.n
-                else state.times
-            )
-            completions.append(comp)
-        for lane, comp, (sub, _tens, _idx) in zip(
-            array.lanes, completions, subs
-        ):
-            arr = np.asarray(sub.times_us, dtype=np.float64)
-            peak, held, scalar = ncq_occupancy(arr, comp, array.ncq_depth)
-            lane.ncq_peak = peak
-            lane.ncq_held = held
-            if scalar and array.tracer is not None:
-                array.tracer.instant(
-                    TRACK_ARRAY,
-                    "kernel-fallback",
-                    float(lane.last_event_us),
-                    reason=FALLBACK_NCQ_STALL,
-                    device=lane.index,
-                )
-    coord_stats = (
-        array.coordinator.stats() if array.coordinator is not None else {}
-    )
+        lane.ncq_peak, lane.ncq_held = _gate_replay(arr, comp, array.ncq_depth)
     kernel_gc = tuple(
         dict(getattr(lane.scheme, "kernel_gc_stats", {}) or {})
         for lane in array.lanes
     )
     simulated_us = max([lane.last_event_us for lane in array.lanes] + [0.0])
+    sim.now = simulated_us
     array.metrics.finish(simulated_us, array)
     return ArrayResult(
         coordination=array.coordination,
@@ -996,7 +259,6 @@ def replay_array_vectorized(array, trace, tenants: int):
         ncq_depth=array.ncq_depth,
         ncq_peaks=tuple(lane.ncq_peak for lane in array.lanes),
         ncq_held=tuple(lane.ncq_held for lane in array.lanes),
-        coord_stats=coord_stats,
         kernel_fallback_reason=None,
         kernel_gc=kernel_gc,
         metrics=array.metrics.snapshot(),
@@ -1004,13 +266,7 @@ def replay_array_vectorized(array, trace, tenants: int):
 
 
 __all__ = [
-    "ARRAY_FALLBACK_REASONS",
-    "FALLBACK_COORD_GRANT",
-    "FALLBACK_NCQ_STALL",
     "FALLBACK_UNMODELLED",
     "array_kernel_eligible",
-    "merge_completions",
-    "ncq_occupancy",
     "replay_array_vectorized",
-    "split_epoch_streams",
 ]

@@ -588,7 +588,7 @@ class ArrayMetrics(DeviceMetrics):
         latencies_us: np.ndarray,
         end_us: float,
     ) -> None:
-        """Batch-folded form for the epoch array kernel: one device's
+        """Batch-folded form for the per-lane array kernel: one device's
         run of completions with their per-request tenant ids.
 
         Counter increments and histogram bucket counts are exact

@@ -133,7 +133,7 @@ def diff_array_kernels(
 ) -> Optional[Divergence]:
     """Replay ``trace`` on a ``kernel=reference`` array and a
     ``kernel=vectorized`` one and return the first observable
-    difference; ``None`` when the epoch kernel is bit-identical.
+    difference; ``None`` when the vectorized array is bit-identical.
 
     The array counterpart of :func:`repro.oracle.diff.diff_kernels`:
     per-device response-time trajectories, GC/IO/wear counters,
@@ -143,7 +143,7 @@ def diff_array_kernels(
     :class:`~repro.obs.metrics.ArrayMetrics` bundle, read through
     :class:`~repro.array.telemetry.ArrayTelemetry`) are held to exact
     bucket counts / totals / maxima; ``sum_us`` is compared to a
-    relative tolerance because the epoch kernel folds each batch with a
+    relative tolerance because the per-lane kernel folds each batch with a
     vectorized summation whose float addition order differs from the
     reference loop's one-at-a-time accumulation.
 

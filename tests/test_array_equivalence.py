@@ -161,9 +161,9 @@ class TestPerDeviceIndependence:
 
 
 class TestKernelFallback:
-    """Eligible vectorized configs take the epoch kernel untagged;
-    anything outside the epoch model must fall back *with a reason
-    tag*, never silently."""
+    """Eligible vectorized configs take the per-lane kernel untagged;
+    anything outside its model must fall back *with a reason tag*,
+    never silently."""
 
     def test_eligible_config_takes_kernel_untagged(self):
         cfg = _config(kernel="vectorized")
@@ -178,6 +178,36 @@ class TestKernelFallback:
         trace = build_fiu_trace("mail", cfg, n_requests=200)
         result = SSDArray([build_scheme("cagc", "greedy", cfg)]).replay(trace)
         assert result.kernel_fallback_reason == FALLBACK_UNMODELLED
+
+    @pytest.mark.parametrize("coordination", ("staggered", "global-token"))
+    def test_coordinated_replay_falls_back_tagged(self, coordination):
+        """Coordinated replays run the reference loop on a vectorized
+        config, tagged, with the reference config's digests."""
+        from repro.kernel.arrayepoch import FALLBACK_UNMODELLED
+
+        digests = {}
+        for kernel in ("reference", "vectorized"):
+            cfg = _config(kernel=kernel)
+            tenant_traces = [
+                build_fiu_trace(
+                    "mail", cfg, n_requests=400, fill_factor=3.0, seed=40 + t
+                )
+                for t in range(4)
+            ]
+            merged = multiplex_traces(
+                tenant_traces, devices=4, pages_per_device=cfg.logical_pages
+            )
+            schemes = [build_scheme("cagc", "greedy", cfg) for _ in range(4)]
+            result = SSDArray(
+                schemes, coordination=coordination, ncq_depth=8
+            ).replay(merged)
+            expected = FALLBACK_UNMODELLED if kernel == "vectorized" else None
+            assert result.kernel_fallback_reason == expected
+            digests[kernel] = tuple(
+                _trajectory_digest(r, s)
+                for r, s in zip(result.devices, schemes)
+            )
+        assert digests["reference"] == digests["vectorized"]
 
     def test_reference_config_untagged(self):
         cfg = _config(kernel="reference")

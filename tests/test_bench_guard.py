@@ -138,14 +138,13 @@ def test_vectorized_kernel_speedup_floors():
 
 
 def test_array_kernel_speedup_floors():
-    # The epoch-batched array kernel measures ~6x (independent) and
-    # ~7-8x (staggered / global-token, where the coordinator's deferral
-    # machinery keeps lanes out of scalar GC boundaries) against the
-    # reference array loop on the benched 4-device / 4-tenant case; a
-    # 2.5x floor leaves generous headroom for noisy runners while still
-    # failing if the array quietly reverts to wholesale event-loop
-    # fallback (~1.0x).  Cells interleave the two paths like the
-    # single-device floor test so load spikes hit both sides.
+    # The per-lane array kernel (independent coordination, the only
+    # one it models) measures ~6x against the reference array loop on
+    # the benched 4-device / 4-tenant case; a 2.5x floor leaves
+    # generous headroom for noisy runners while still failing if the
+    # array quietly reverts to wholesale event-loop fallback (~1.0x).
+    # Cells interleave the two paths like the single-device floor test
+    # so load spikes hit both sides.
     import time
 
     from repro.array import SSDArray
@@ -177,22 +176,21 @@ def test_array_kernel_speedup_floors():
             schemes, coordination=coordination, ncq_depth=16
         ).replay(merged)
 
-    for coordination in ("independent", "staggered"):
-        walls = {"reference": [], "vectorized": []}
-        for kernel in walls:  # warm-up: numpy/import one-time costs
-            result = replay(kernel, coordination)
-            if kernel == "vectorized":
-                assert result.kernel_fallback_reason is None
-        for _ in range(5):
-            for kernel in ("reference", "vectorized"):
-                start = time.perf_counter()
-                replay(kernel, coordination)
-                walls[kernel].append(time.perf_counter() - start)
-        ratio = min(walls["reference"]) / min(walls["vectorized"])
-        assert ratio >= 2.5, (
-            f"array@{devices} [{coordination}]: epoch kernel only "
-            f"{ratio:.2f}x the reference array loop (floor is 2.5x)"
-        )
+    walls = {"reference": [], "vectorized": []}
+    for kernel in walls:  # warm-up: numpy/import one-time costs
+        result = replay(kernel, "independent")
+        if kernel == "vectorized":
+            assert result.kernel_fallback_reason is None
+    for _ in range(5):
+        for kernel in ("reference", "vectorized"):
+            start = time.perf_counter()
+            replay(kernel, "independent")
+            walls[kernel].append(time.perf_counter() - start)
+    ratio = min(walls["reference"]) / min(walls["vectorized"])
+    assert ratio >= 2.5, (
+        f"array@{devices} [independent]: array kernel only "
+        f"{ratio:.2f}x the reference array loop (floor is 2.5x)"
+    )
 
 
 def test_telemetry_batching_overhead_within_15pct():

@@ -55,8 +55,11 @@ from repro.obs import log  # noqa: E402
 #: ``benchguard`` kernel-speedup ratio test.  Schema 5 moves the array
 #: cases onto the vectorized kernel too (the epoch-batched array
 #: orchestrator), so their numbers are not comparable to schema-4
-#: snapshots taken on the reference array loop.
-SNAPSHOT_SCHEMA = 5
+#: snapshots taken on the reference array loop.  Schema 6:
+#: ``array@4-staggered`` times the reference array loop, since the
+#: vectorized array kernel now models ``independent`` coordination
+#: only and coordinated replays fall back to the event loop.
+SNAPSHOT_SCHEMA = 6
 
 #: replay case name -> (scheme, blocks multiplier).  The scaled cases
 #: (the two schemes the victim-index acceptance criteria pin down;
@@ -74,13 +77,15 @@ REPLAY_CASES: Dict[str, Tuple[str, int]] = {
     "cagc@64x": ("cagc", 64),
 }
 #: array case name -> GC coordination.  Four tenants on four devices
-#: through the epoch-batched array kernel (``kernel: vectorized``), so
-#: these cases guard the per-epoch cost of the array tier: the stream
-#: splitter, analytic NCQ counters, per-tenant telemetry folds, and —
-#: in the staggered case — the coordinator's window/deferral
-#: machinery driving the epoch barriers.  The reference array loop
-#: keeps its own floor via the ``benchguard`` array-speedup ratio
-#: test.
+#: on a ``kernel: vectorized`` config.  ``array@4`` (independent) runs
+#: the per-lane array kernel and guards its cost: the stream split,
+#: one kernel run per lane, the NCQ gate replay and the per-tenant
+#: telemetry folds.  ``array@4-staggered`` falls back to the reference
+#: array loop (tagged ``array-unmodelled``), so it guards the event
+#: loop, the coordinator's window/deferral machinery and the NCQ
+#: admission path that the ``array-tail`` experiment runs under
+#: coordination.  The kernel-vs-reference ratio keeps its own floor
+#: via the ``benchguard`` array-speedup test.
 ARRAY_CASES: Dict[str, str] = {
     "array@4": "independent",
     "array@4-staggered": "staggered",
