@@ -108,11 +108,8 @@ class _ArrayLane(SSD):
         ncq_depth: int,
         coord: Optional[GCCoordinator],
         tracer=None,
-        keep_samples: bool = True,
     ) -> None:
-        super().__init__(
-            scheme, sim=sim, tracer=tracer, keep_samples=keep_samples
-        )
+        super().__init__(scheme, sim=sim, tracer=tracer)
         self.index = index
         self._array = array
         self._ncq_depth = ncq_depth
@@ -208,8 +205,8 @@ class _ArrayLane(SSD):
         if self._coord is None or self._preemptive:
             return super()._gc_before_write(now)
         gc_us = self._coord.foreground_gc(self, now)
-        if gc_us > 0.0 and self.hooks:
-            self.hooks(self)
+        if gc_us > 0.0 and self.gc_hook is not None:
+            self.gc_hook(self)
         return gc_us
 
     def _maybe_background_gc(self) -> None:
@@ -272,9 +269,7 @@ class SSDArray:
         ncq_depth: int = 32,
         pages_per_device: Optional[int] = None,
         tracer=None,
-        heartbeat=None,
         metrics=None,
-        keep_samples: bool = True,
         window_us: Optional[float] = None,
     ) -> None:
         if not schemes:
@@ -293,7 +288,6 @@ class SSDArray:
         self.coordinator = make_coordinator(coordination, window_us=window_us)
         self.ncq_depth = ncq_depth
         self.tracer = tracer
-        self.heartbeat = heartbeat
         #: the one live aggregator of every replay (the caller's bundle
         #: or a private one); bound in replay() once the tenant count is
         #: known (label children are resolved per device/tenant).
@@ -307,7 +301,6 @@ class SSDArray:
                 ncq_depth=ncq_depth,
                 coord=self.coordinator,
                 tracer=tracer,
-                keep_samples=keep_samples,
             )
             for i, scheme in enumerate(schemes)
         ]
@@ -354,11 +347,6 @@ class SSDArray:
                     0.0,
                     reason=reason,
                 )
-        if self.heartbeat is not None:
-            try:
-                self.heartbeat.expect(len(trace))
-            except TypeError:
-                pass  # streaming traces have no known length (no ETA)
         for lane, (sub, lane_tenants) in zip(
             self.lanes, self.router.split(trace)
         ):
@@ -372,13 +360,6 @@ class SSDArray:
             self.coordinator.stats() if self.coordinator is not None else {}
         )
         self.metrics.finish(self.sim.now, self)
-        if self.heartbeat is not None:
-            self.heartbeat.finish(
-                self.sim.now,
-                self.sim.events_processed,
-                self.metrics.latency.hist.total,
-                gc_collects=self._gc_collects(),
-            )
         return ArrayResult(
             coordination=self.coordination,
             trace=trace.name,
@@ -398,24 +379,12 @@ class SSDArray:
 
     # ----------------------------------------------------------- hooks
 
-    def _gc_collects(self) -> int:
-        return sum(
-            lane.scheme.gc_counters.gc_invocations for lane in self.lanes
-        )
-
     def _on_lane_complete(
         self, lane: _ArrayLane, tenant: int, latency_us: float
     ) -> None:
         self.metrics.on_array_complete(
             lane.index, tenant, self.sim.now, latency_us
         )
-        if self.heartbeat is not None:
-            self.heartbeat.tick(
-                self.sim.now,
-                self.sim.events_processed,
-                self.metrics.latency.hist.total,
-                gc_collects=self._gc_collects(),
-            )
 
     def _schedule_window(self, window_us: float) -> None:
         """Staggered mode: tick the coordinator at every window edge.

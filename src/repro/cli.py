@@ -483,13 +483,29 @@ def _disable_cache() -> None:
     reset_result_caches()
 
 
-def _make_observers(args):
-    """Build (tracer, heartbeat) from the obs flags."""
-    from repro.obs import Heartbeat, Tracer
+def _make_observers(args, array=False, total_requests=None):
+    """Build (tracer, metrics) from the obs flags.
+
+    Traced runs get a metrics bundle (its series folds into the trace
+    file as counter tracks), and ``--heartbeat`` rides on one: an
+    :class:`~repro.obs.ArrayMetrics` for array replays, a
+    :class:`~repro.obs.DeviceMetrics` otherwise.  ``total_requests``
+    declares the trace length for the heartbeat's ETA (``None``: the
+    ETA prints as ``-``).
+    """
+    from repro.obs import ArrayMetrics, DeviceMetrics, Heartbeat, Tracer
 
     tracer = Tracer() if args.trace else None
-    heartbeat = Heartbeat(args.heartbeat) if args.heartbeat is not None else None
-    return tracer, heartbeat
+    heartbeat = None
+    if args.heartbeat is not None:
+        heartbeat = Heartbeat(args.heartbeat)
+        if total_requests is not None:
+            heartbeat.expect(total_requests)
+    metrics = None
+    if tracer is not None or heartbeat is not None:
+        bundle = ArrayMetrics if array else DeviceMetrics
+        metrics = bundle(heartbeat=heartbeat)
+    return tracer, metrics
 
 
 def _write_trace(tracer, snapshot, args) -> None:
@@ -560,9 +576,10 @@ def _trace_one_experiment_run(args_ids, args) -> None:
         log.warning("--trace: no underlying runs for %s", args_ids)
         return
     spec = specs[0]
-    tracer, heartbeat = _make_observers(args)
+    # The spec builds its own trace, so the heartbeat has no ETA here.
+    tracer, metrics = _make_observers(args, array=bool(spec.array_devices))
     log.info("tracing %s ...", spec.label())
-    result = spec.execute(tracer=tracer, heartbeat=heartbeat)
+    result = spec.execute(tracer=tracer, metrics=metrics)
     _write_trace(tracer, result.metrics, args)
 
 
@@ -823,13 +840,15 @@ def _simulate_array(args, config) -> int:
         make_scheme(args.scheme, config, policy=make_policy(args.policy))
         for _ in range(args.array_devices)
     ]
-    tracer, heartbeat = _make_observers(args)
+    tracer, metrics = _make_observers(
+        args, array=True, total_requests=len(merged)
+    )
     array = SSDArray(
         schemes,
         coordination=args.gc_coord,
         ncq_depth=args.ncq_depth,
         tracer=tracer,
-        heartbeat=heartbeat,
+        metrics=metrics,
     )
     start = time.time()
     result = array.replay(merged)
@@ -903,23 +922,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.preset, config, n_requests=0, fill_factor=args.fill_factor
         )
     scheme = make_scheme(args.scheme, config, policy=make_policy(args.policy))
-    tracer, heartbeat = _make_observers(args)
+    try:
+        total_requests = len(trace)
+    except TypeError:
+        total_requests = None  # streaming traces have no known length
+    tracer, metrics = _make_observers(args, total_requests=total_requests)
     start = time.time()
     if args.device == "parallel":
         from repro.device.parallel import ParallelSSD
 
-        device = ParallelSSD(scheme, tracer=tracer, heartbeat=heartbeat)
+        device = ParallelSSD(scheme, tracer=tracer, metrics=metrics)
     else:
         from repro.device.ssd import SSD
-        from repro.obs import DeviceMetrics
 
         device = SSD(
             scheme,
             tracer=tracer,
-            heartbeat=heartbeat,
-            # Traced runs also sample the metrics time series, folded
-            # into the trace file as counter tracks.
-            metrics=DeviceMetrics() if tracer is not None else None,
+            metrics=metrics,
             # Streaming replays drop per-request samples for the fixed
             # histogram so memory stays flat over arbitrarily long traces.
             keep_samples=not args.stream,
@@ -1152,15 +1171,6 @@ def _cmd_report_compare(args: argparse.Namespace) -> int:
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
     cache = RunCache.from_env() if cache_enabled() else None
     results = run_specs([spec_a, spec_b], jobs=args.jobs, cache=cache)
-    for spec, result in zip((spec_a, spec_b), results):
-        if result.metrics is None:
-            log.error(
-                "error: %s carries no metrics snapshot (parallel-device "
-                "runs are unmetered); re-run with --no-cache or a "
-                "metered device model",
-                spec.label(),
-            )
-            return 2
     rows = compare_snapshots(
         results[0].metrics, results[1].metrics, threshold=threshold
     )
@@ -1213,13 +1223,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     cache = RunCache.from_env() if cache_enabled() else None
     result = run_specs([spec], jobs=args.jobs, cache=cache)[0]
     snapshot = result.metrics
-    if snapshot is None:
-        log.error(
-            "error: %s carries no metrics snapshot (parallel-device runs "
-            "are unmetered)",
-            spec.label(),
-        )
-        return 2
     render = {"prom": prometheus_text, "jsonl": series_jsonl, "csv": series_csv}
     text = render[args.format](snapshot)
     if args.out:

@@ -40,7 +40,11 @@ _Row = Tuple[float, int, int, int, Optional[np.ndarray]]
 
 
 class ParallelSSD:
-    """Per-channel queues; GC blocks only its own channel."""
+    """Per-channel queues; GC blocks only its own channel.
+
+    Takes the same ``tracer`` and ``metrics`` observers as
+    :class:`~repro.device.ssd.SSD`.
+    """
 
     _OP_NAMES = {
         int(OpKind.WRITE): "write",
@@ -53,7 +57,7 @@ class ParallelSSD:
         scheme: FTLScheme,
         sim: Optional[Simulator] = None,
         tracer=None,
-        heartbeat=None,
+        metrics=None,
     ) -> None:
         self.scheme = scheme
         self.sim = sim if sim is not None else Simulator()
@@ -62,11 +66,12 @@ class ParallelSSD:
         self._queues: List[Deque[_Row]] = [deque() for _ in range(self.channels)]
         self._busy = [False] * self.channels
         self._rows = None  # type: Optional[object]
-        self.requests_completed = 0
         self.tracer = tracer
         #: the scheme's GC-phase spans flow through the same tracer.
         scheme.tracer = tracer
-        self.heartbeat = heartbeat
+        self.metrics = metrics
+        if metrics is not None:
+            metrics.bind(self)
 
     # ------------------------------------------------------------------ replay
 
@@ -74,10 +79,8 @@ class ParallelSSD:
         self._rows = trace.iter_rows()
         self._schedule_next_arrival()
         self.sim.run()
-        if self.heartbeat is not None:
-            self.heartbeat.finish(
-                self.sim.now, self.sim.events_processed, self.requests_completed
-            )
+        if self.metrics is not None:
+            self.metrics.finish(self.sim.now, self)
         return RunResult(
             scheme=self.scheme.name,
             trace=trace.name,
@@ -87,6 +90,7 @@ class ParallelSSD:
             io=self.scheme.io_counters,
             wear=self.scheme.wear(),
             simulated_us=self.sim.now,
+            metrics=self.metrics.snapshot() if self.metrics is not None else None,
         )
 
     # ------------------------------------------------------------------ events
@@ -138,12 +142,10 @@ class ParallelSSD:
 
     def _on_complete(self, event: Event) -> None:
         channel, arrival_us = event.payload
-        self.latency.record(self.sim.now - arrival_us)
-        self.requests_completed += 1
-        if self.heartbeat is not None:
-            self.heartbeat.tick(
-                self.sim.now, self.sim.events_processed, self.requests_completed
-            )
+        latency_us = self.sim.now - arrival_us
+        self.latency.record(latency_us)
+        if self.metrics is not None:
+            self.metrics.on_complete(self.sim.now, latency_us, self)
         if self._queues[channel]:
             self._start_service(channel)
         else:

@@ -84,10 +84,12 @@ class RunResult:
 class SSD:
     """One simulated SSD: a scheme plus the admission/service machinery.
 
-    ``tracer`` / ``heartbeat`` / ``metrics`` are the optional observers
-    from :mod:`repro.obs`.  Each one costs exactly one ``is not None``
-    test per request when absent — the default replay path stays
-    untouched.
+    The device has three optional observers, each costing exactly one
+    ``is not None`` test per site when absent, so the default replay
+    path stays untouched: ``tracer`` (the :mod:`repro.obs` event
+    stream), ``metrics`` (a :class:`~repro.obs.metrics.DeviceMetrics`
+    bundle, which also carries any wall-clock progress reporting) and
+    :attr:`gc_hook`.
     """
 
     def __init__(
@@ -95,7 +97,6 @@ class SSD:
         scheme: FTLScheme,
         sim: Optional[Simulator] = None,
         tracer=None,
-        heartbeat=None,
         metrics=None,
         keep_samples: bool = True,
     ) -> None:
@@ -123,54 +124,24 @@ class SSD:
         }
         #: idle-time GC chunks completed (preemptive mode telemetry).
         self.background_gc_chunks = 0
-        #: requests completed (drives heartbeat progress).
-        self.requests_completed = 0
         self.buffer: Optional[WriteBuffer] = None
         if scheme.config.write_buffer_pages > 0:
             self.buffer = WriteBuffer(
                 scheme.config.write_buffer_pages,
                 dram_us=scheme.config.write_buffer_dram_us,
             )
-        from repro.obs.hooks import HookMux
-
-        #: All post-GC observers, fired with this SSD after every GC
-        #: episode (foreground burst or idle chunk) — e.g. the
-        #: differential oracle's invariant checker; see also the
-        #: :attr:`gc_hook` compatibility property.
-        self.hooks = HookMux()
-        self._user_gc_hook: Optional[Callable[["SSD"], None]] = None
+        #: post-GC observer, called with this SSD after every GC episode
+        #: (foreground burst or idle chunk) — the differential oracle's
+        #: invariant checker.
+        self.gc_hook: Optional[Callable[["SSD"], None]] = None
         self.tracer = tracer
         #: the scheme emits GC-phase spans through the same tracer.
         scheme.tracer = tracer
-        self.heartbeat = heartbeat
         #: resolved-handle metrics bundle (repro.obs.metrics); binding
         #: here registers every gauge against this scheme/buffer once.
         self.metrics = metrics
         if metrics is not None:
             metrics.bind(self)
-
-    # ------------------------------------------------------------------ hooks
-
-    @property
-    def gc_hook(self) -> Optional[Callable[["SSD"], None]]:
-        """Single-slot compatibility view over :attr:`hooks`.
-
-        Historically ``ssd.gc_hook = fn`` installed the one post-GC
-        callback (the differential-oracle harness still assigns
-        :func:`repro.oracle.invariants.check_all` this way).  The slot
-        now maps onto one :class:`~repro.obs.HookMux` entry, so it
-        composes with other post-GC observers instead of clobbering
-        them.
-        """
-        return self._user_gc_hook
-
-    @gc_hook.setter
-    def gc_hook(self, hook: Optional[Callable[["SSD"], None]]) -> None:
-        if self._user_gc_hook is not None:
-            self.hooks.remove(self._user_gc_hook)
-        self._user_gc_hook = hook
-        if hook is not None:
-            self.hooks.add(hook)
 
     # ------------------------------------------------------------------ replay
 
@@ -189,11 +160,6 @@ class SSD:
         per-page-hashing schemes) fall back to the reference loop
         below.
         """
-        if self.heartbeat is not None:
-            try:
-                self.heartbeat.expect(len(trace))
-            except TypeError:
-                pass  # streaming traces have no known length (no ETA)
         if self.scheme.config.kernel == "vectorized":
             from repro.kernel import kernel_eligible, replay_vectorized
 
@@ -210,13 +176,6 @@ class SSD:
                 self._destage_with_gc(remaining, self.sim.now)
         if self.metrics is not None:
             self.metrics.finish(self.sim.now, self)
-        if self.heartbeat is not None:
-            self.heartbeat.finish(
-                self.sim.now,
-                self.sim.events_processed,
-                self.requests_completed,
-                gc_collects=self.scheme.gc_counters.gc_invocations,
-            )
         return RunResult(
             scheme=self.scheme.name,
             trace=trace.name,
@@ -273,16 +232,8 @@ class SSD:
         arrival_us = event.payload
         latency_us = self.sim.now - arrival_us
         self.latency.record(latency_us)
-        self.requests_completed += 1
         if self.metrics is not None:
             self.metrics.on_complete(self.sim.now, latency_us, self)
-        if self.heartbeat is not None:
-            self.heartbeat.tick(
-                self.sim.now,
-                self.sim.events_processed,
-                self.requests_completed,
-                gc_collects=self.scheme.gc_counters.gc_invocations,
-            )
         if self._queue:
             self._start_service()
         else:
@@ -304,8 +255,8 @@ class SSD:
 
     def _on_bg_gc_done(self, event: Event) -> None:
         self._busy = False
-        if self.hooks:
-            self.hooks(self)
+        if self.gc_hook is not None:
+            self.gc_hook(self)
         if self._queue:
             self._start_service()
         else:
@@ -354,8 +305,8 @@ class SSD:
             gc_us = self._foreground_preemptive_gc(now)
         else:
             gc_us = self.scheme.run_gc(now) if self.scheme.needs_gc() else 0.0
-        if gc_us > 0.0 and self.hooks:
-            self.hooks(self)
+        if gc_us > 0.0 and self.gc_hook is not None:
+            self.gc_hook(self)
         return gc_us
 
     def _service_buffered_write(
@@ -439,7 +390,6 @@ def run_trace(
     scheme: FTLScheme,
     trace: Trace,
     tracer=None,
-    heartbeat=None,
     metrics=None,
     keep_samples: bool = True,
 ) -> RunResult:
@@ -447,7 +397,6 @@ def run_trace(
     return SSD(
         scheme,
         tracer=tracer,
-        heartbeat=heartbeat,
         metrics=metrics,
         keep_samples=keep_samples,
     ).replay(trace)

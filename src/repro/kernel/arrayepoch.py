@@ -22,9 +22,9 @@ coordination.  There the array's coupling surface is empty:
 coordinator grants, windows and idle bursts; they run the reference
 array loop.  Whatever the kernel does not model falls back wholesale
 with the one array reason, ``array-unmodelled`` (coordinated replays,
-preemptive lanes, write buffers, heartbeat observers, streaming
-traces), so a reference-loop replay on a vectorized config is always
-tagged, never silent.
+preemptive lanes, write buffers, streaming traces), so a
+reference-loop replay on a vectorized config is always tagged, never
+silent.
 """
 
 from __future__ import annotations
@@ -185,10 +185,10 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
     couples the lanes, and those replays run the reference loop.  The
     rest mirrors the single-device :func:`repro.kernel.orchestrator
     .kernel_eligible` axes per lane (blocking GC, no write buffer,
-    bulk or inline-dedupe scheme, a sliceable trace), plus heartbeat
-    observers, which clock per completion on the shared loop.  The
-    array's :class:`~repro.obs.metrics.ArrayMetrics` bundle never
-    blocks the kernel — the lane folds feed it batch-exactly.
+    bulk or inline-dedupe scheme, a sliceable trace).  The array's
+    :class:`~repro.obs.metrics.ArrayMetrics` bundle never blocks the
+    kernel — the lane folds feed it batch-exactly, progress reporting
+    included.
     """
     if array.coordinator is not None:
         return FALLBACK_UNMODELLED
@@ -204,8 +204,6 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
             scheme.bulk_user_writes or type(scheme) is InlineDedupeScheme
         ):
             return FALLBACK_UNMODELLED
-    if array.heartbeat is not None:
-        return FALLBACK_UNMODELLED
     times = getattr(trace, "times_us", None)
     if times is None or not hasattr(trace, "iter_chunks"):
         return FALLBACK_UNMODELLED  # streaming traces: no random access

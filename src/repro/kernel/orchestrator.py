@@ -27,9 +27,10 @@ them:
    effects apply through :func:`repro.kernel.write.apply_write_run` or
    :func:`repro.kernel.inline.apply_inline_run`;
 4. the boundary request (GC-triggering write, or any trim) goes
-   through the reference scheme calls — same ``run_gc`` /
-   ``write_request`` / ``trim_request``, same post-GC hook and
-   per-request metrics fold — and the scan restarts behind it.
+   through the reference service path, ``SSD._service`` — same
+   ``run_gc`` / ``write_request`` / ``trim_request``, same post-GC
+   hook — plus the per-request metrics fold, and the scan restarts
+   behind it.
 
 Requests the batched kernels do not model (negative fingerprints in a
 chunk) drop to the same per-request reference path, so the fallback is
@@ -61,7 +62,6 @@ from repro.sim.engine import SimulationError
 from repro.workloads.request import OpKind
 
 _OP_WRITE = int(OpKind.WRITE)
-_OP_READ = int(OpKind.READ)
 _OP_TRIM = int(OpKind.TRIM)
 
 #: Inline-dedupe plan window bounds (requests).  The plan re-resolves
@@ -79,12 +79,12 @@ def kernel_eligible(ssd: SSD, trace) -> bool:
     The batched kernels model the default replay configuration:
     blocking foreground GC, no DRAM write buffer, and either a
     bulk-write scheme or the inline-dedupe scheme (whose foreground
-    hash/lookup path has its own plan/apply kernel).  Post-GC hooks,
-    tracers, metrics and heartbeats are supported — metrics fold
-    per-batch with exact histogram counts, series samples clock at
-    batch boundaries.  Anything else
-    silently takes the reference event loop under the same
-    ``FTLScheme`` interface.
+    hash/lookup path has its own plan/apply kernel).  All three
+    observers are supported: the post-GC hook, the tracer, and metrics,
+    which fold per batch with exact histogram counts and clock their
+    series samples (and any progress beats) at batch boundaries.
+    Anything else silently takes the reference event loop under the
+    same ``FTLScheme`` interface.
     """
     scheme = ssd.scheme
     return (
@@ -110,7 +110,6 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
     latency = ssd.latency
     tracer = ssd.tracer
     metrics = ssd.metrics
-    heartbeat = ssd.heartbeat
     hot = Region.HOT
     inline = not scheme.bulk_user_writes  # eligibility: inline-dedupe
 
@@ -300,17 +299,9 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
                 )
                 lat_batch = completions - seg_times
                 latency.record_many(lat_batch)
-                ssd.requests_completed += e - i
                 served = True
                 if metrics is not None:
                     metrics.on_batch(lat_batch, t, ssd)
-                if heartbeat is not None:
-                    heartbeat.tick(
-                        t,
-                        ssd.requests_completed,
-                        ssd.requests_completed,
-                        gc_collects=scheme.gc_counters.gc_invocations,
-                    )
                 # Reads: counter-only effects.
                 seg_reads = (~is_write[i:e]).sum()  # no trims inside a run
                 if seg_reads:
@@ -378,13 +369,6 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
     ssd.sim.now = t if served else ssd.sim.now
     if metrics is not None:
         metrics.finish(ssd.sim.now, ssd)
-    if heartbeat is not None:
-        heartbeat.finish(
-            ssd.sim.now,
-            ssd.requests_completed,
-            ssd.requests_completed,
-            gc_collects=scheme.gc_counters.gc_invocations,
-        )
     return RunResult(
         scheme=scheme.name,
         trace=trace.name,
@@ -410,52 +394,25 @@ def _slow_request(
     tracer,
     reason: str,
 ) -> float:
-    """One request through the reference scheme calls.
+    """One request through the reference service path.
 
-    Exactly :meth:`SSD._service` under blocking GC with no write
-    buffer: the GC-triggering writes, trims, and any request the
-    batched kernels do not model.  ``reason`` tags the fallback span
-    for the attribution report.  Returns the completion time.
+    :meth:`SSD._service` itself (blocking GC and no write buffer, by
+    eligibility): the GC-triggering writes, trims, and any request the
+    batched kernels do not model.  Only the completion bookkeeping is
+    the kernel's own.  ``reason`` tags the fallback span for the
+    attribution report.  Returns the completion time.
     """
     wall0 = time.perf_counter()
-    scheme = ssd.scheme
-    timing = scheme.timing
     now = arrival if arrival > t_prev else t_prev
-    ssd.sim.now = now  # post-GC hooks read the service-start clock
-    if op == _OP_WRITE:
-        gc_us = scheme.run_gc(now) if scheme.needs_gc() else 0.0
-        if gc_us > 0.0 and ssd.hooks:
-            ssd.hooks(ssd)
-        outcome = scheme.write_request(lpn, fps, now + gc_us)
-        service = timing.write_request_us(
-            outcome.programs, scheme.flash.geometry.channels
-        )
-        if outcome.hashed_pages:
-            service += timing.inline_dedup_us(outcome.hashed_pages)
-        if outcome.programs == 0:
-            service += timing.lookup_us
-        duration = gc_us + service
-    elif op == _OP_READ:
-        scheme.read_request(lpn, npages)
-        duration = timing.read_request_us(npages, scheme.flash.geometry.channels)
-    else:
-        scheme.trim_request(lpn, npages, now)
-        duration = timing.overhead_us + timing.lookup_us * npages
+    ssd.sim.now = now  # the service (and post-GC hook) read this clock
+    duration = ssd._service((arrival, op, lpn, npages, fps))
     completion = now + duration
     ssd.latency.record(completion - arrival)
-    ssd.requests_completed += 1
     if ssd.metrics is not None:
         # The reference completion event fires with the sim clock at
         # the completion time; the histogram/series view matches.
         ssd.metrics.on_complete(completion, completion - arrival, ssd)
         ssd.metrics.on_fallback(reason)
-    if ssd.heartbeat is not None:
-        ssd.heartbeat.tick(
-            completion,
-            ssd.requests_completed,
-            ssd.requests_completed,
-            gc_collects=scheme.gc_counters.gc_invocations,
-        )
     if tracer is not None:
         tracer.span(
             TRACK_KERNEL, "fallback", now, duration,

@@ -26,12 +26,12 @@ rest of the stack threads through:
 * :mod:`repro.obs.log` — the one logger the CLI and scripts share
   (``--quiet`` / ``--verbose``);
 * :class:`Heartbeat` (``repro.obs.heartbeat``) — wall-clock progress
-  lines (sim time, events/sec, rolling ops/s, GC collects, ETA) to
-  stderr for long replays;
-* :class:`HookMux` (``repro.obs.hooks``) — fan-out for ``SSD.gc_hook``
-  so several post-GC observers (the oracle's invariant checker, user
-  hooks) share one slot.
+  lines (sim time, rolling ops/s, GC collects, ETA) to stderr for long
+  replays, driven by a metrics bundle (``DeviceMetrics(heartbeat=...)``)
+  at the time-series samples it already takes.
 
+A device has three observer slots: ``tracer``, ``metrics`` and the
+post-GC ``gc_hook`` (the differential oracle's invariant checker).
 Every instrumentation site in the hot path is a single
 ``if x is not None`` predicated call, so a run without observers
 pays one attribute test per site and nothing more — the property the
@@ -41,7 +41,6 @@ pays one attribute test per site and nothing more — the property the
 from repro.obs.compare import compare_snapshots
 from repro.obs.export import prometheus_text, series_csv, series_jsonl
 from repro.obs.heartbeat import Heartbeat
-from repro.obs.hooks import HookMux
 from repro.obs.metrics import (
     ArrayMetrics,
     DeviceMetrics,
@@ -68,7 +67,6 @@ __all__ = [
     "ArrayMetrics",
     "DeviceMetrics",
     "Heartbeat",
-    "HookMux",
     "LatencyHistogram",
     "MetricsRegistry",
     "MetricsSnapshot",

@@ -323,22 +323,31 @@ class DeviceMetrics:
     device pays one counter ``inc``, one histogram ``record`` and one
     float compare for the time-series cadence — everything else is read
     lazily at sample time.
+
+    ``heartbeat`` (a :class:`~repro.obs.heartbeat.Heartbeat`) prints
+    wall-clock progress: it is ticked at every series sample and
+    finished in :meth:`finish`, reading the request counter and the
+    GC-collect gauge, so it adds nothing to the per-request path.
     """
 
     def __init__(
         self,
         interval_us: float = DEFAULT_INTERVAL_US,
         registry: Optional[MetricsRegistry] = None,
+        heartbeat=None,
     ) -> None:
         from repro.obs.series import TimeSeriesRecorder
 
         self.registry = registry if registry is not None else MetricsRegistry()
         self.recorder = TimeSeriesRecorder(interval_us=interval_us)
+        self.heartbeat = heartbeat
         self.requests: Optional[Counter] = None
         self.latency: Optional[Histogram] = None
         self.kernel_batches: Optional[Counter] = None
         self.kernel_batched_requests: Optional[Counter] = None
         self.kernel_fallbacks: Optional[CounterVec] = None
+        #: GC episodes so far (the heartbeat's ``gc`` field).
+        self.gc_collects: Optional[Gauge] = None
         self._bound = False
 
     # -------------------------------------------------------------- bind
@@ -359,8 +368,10 @@ class DeviceMetrics:
             f"{PREFIX}_kernel_fallback_requests_total", "reason"
         )
         self._bind_scheme(ssd.scheme)
-        if ssd.buffer is not None:
-            stats = ssd.buffer.stats
+        self.gc_collects = reg.gauge(f"{PREFIX}_gc_invocations_total")
+        buffer = getattr(ssd, "buffer", None)  # ParallelSSD has none
+        if buffer is not None:
+            stats = buffer.stats
             reg.gauge(
                 f"{PREFIX}_buffer_pages_buffered_total",
                 lambda: float(stats.pages_buffered),
@@ -440,9 +451,8 @@ class DeviceMetrics:
         """Per-request hook (single predicated call from the device)."""
         self.requests.value += 1.0
         self.latency.hist.record(latency_us)
-        recorder = self.recorder
-        if now_us >= recorder.next_due_us:
-            recorder.sample(now_us)
+        if now_us >= self.recorder.next_due_us:
+            self._sample(now_us)
 
     def on_batch(self, latencies_us: np.ndarray, end_us: float, ssd) -> None:
         """Batch-folded form for the vectorized kernel (exact)."""
@@ -450,17 +460,28 @@ class DeviceMetrics:
         self.latency.hist.record_many(latencies_us)
         self.kernel_batches.value += 1.0
         self.kernel_batched_requests.value += float(latencies_us.size)
-        recorder = self.recorder
-        if end_us >= recorder.next_due_us:
-            recorder.sample(end_us)
+        if end_us >= self.recorder.next_due_us:
+            self._sample(end_us)
 
     def on_fallback(self, reason: str) -> None:
         """One reference-path request inside a vectorized replay."""
         self.kernel_fallbacks.labels(reason).value += 1.0
 
-    def finish(self, now_us: float, ssd) -> None:
-        """Final boundary sample at end of replay."""
+    def _sample(self, now_us: float) -> None:
+        """One series row, plus a heartbeat tick when one is attached."""
         self.recorder.sample(now_us)
+        if self.heartbeat is not None:
+            self.heartbeat.tick(
+                now_us, int(self.requests.value), int(self.gc_collects.sample())
+            )
+
+    def finish(self, now_us: float, ssd) -> None:
+        """Final boundary sample (and heartbeat summary) at end of replay."""
+        self.recorder.sample(now_us)
+        if self.heartbeat is not None:
+            self.heartbeat.finish(
+                now_us, int(self.requests.value), int(self.gc_collects.sample())
+            )
 
     # ---------------------------------------------------------- snapshot
 
@@ -492,8 +513,11 @@ class ArrayMetrics(DeviceMetrics):
         self,
         interval_us: float = DEFAULT_INTERVAL_US,
         registry: Optional[MetricsRegistry] = None,
+        heartbeat=None,
     ) -> None:
-        super().__init__(interval_us=interval_us, registry=registry)
+        super().__init__(
+            interval_us=interval_us, registry=registry, heartbeat=heartbeat
+        )
         self.device_requests: Optional[CounterVec] = None
         self.tenant_requests: Optional[CounterVec] = None
         self.device_latency: Optional[HistogramVec] = None
@@ -566,6 +590,15 @@ class ArrayMetrics(DeviceMetrics):
                 )
             ),
         )
+        self.gc_collects = reg.gauge(
+            f"{PREFIX}_gc_invocations_total",
+            (
+                lambda lanes=array.lanes: float(
+                    sum(l.scheme.gc_counters.gc_invocations for l in lanes)
+                )
+            ),
+            sampled=False,
+        )
 
     def on_array_complete(
         self, device: int, tenant: int, now_us: float, latency_us: float
@@ -577,9 +610,8 @@ class ArrayMetrics(DeviceMetrics):
         self._tenant_req[tenant].value += 1.0
         self.device_hists[device].record(latency_us)
         self.tenant_hists[tenant].record(latency_us)
-        recorder = self.recorder
-        if now_us >= recorder.next_due_us:
-            recorder.sample(now_us)
+        if now_us >= self.recorder.next_due_us:
+            self._sample(now_us)
 
     def on_array_batch(
         self,
@@ -613,9 +645,8 @@ class ArrayMetrics(DeviceMetrics):
                 mask = tenant_ids == tenant
                 self._tenant_req[int(tenant)].value += float(mask.sum())
                 self.tenant_hists[int(tenant)].record_many(latencies_us[mask])
-        recorder = self.recorder
-        if end_us >= recorder.next_due_us:
-            recorder.sample(end_us)
+        if end_us >= self.recorder.next_due_us:
+            self._sample(end_us)
 
 
 __all__ = [

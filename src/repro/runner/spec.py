@@ -206,32 +206,23 @@ class RunSpec:
             placement = NeverColdPlacement(config)
         return CAGCScheme(config, policy=policy, placement=placement, **options)
 
-    def execute(
-        self,
-        tracer=None,
-        heartbeat=None,
-        metrics="auto",
-        keep_samples=True,
-    ):
+    def execute(self, tracer=None, metrics="auto"):
         """Run the simulation described by this spec (no caching).
 
         Mirrors the historical ``gc_efficiency_result`` construction
         exactly: ``seed=0`` replays the preset's canonical trace, other
         seeds draw an independent trace with the same characteristics.
 
-        ``tracer``/``heartbeat``/``metrics`` attach :mod:`repro.obs`
-        observers to the replay (observers never enter the cache key:
-        they must not — and by construction cannot — change the
-        simulated outcome, only record it).  ``metrics`` defaults to
-        ``"auto"``: a stock :class:`~repro.obs.metrics.DeviceMetrics` is
-        attached (array specs always drive an ``ArrayMetrics``), so
-        every cached result carries a metrics snapshot for the
-        ``metrics``/``report --compare`` CLI surfaces; pass ``None`` to
-        run a single device bare or a pre-built bundle to control the
-        registry/interval.  ``keep_samples=False`` switches latency
-        capture to the constant-memory histogram (``response_times_us``
-        comes back empty); use it for large-scale runs where
-        O(requests) sample storage dominates RSS.
+        ``tracer``/``metrics`` attach :mod:`repro.obs` observers to the
+        replay (observers never enter the cache key: they must not —
+        and by construction cannot — change the simulated outcome, only
+        record it).  ``metrics`` defaults to ``"auto"``: a stock
+        :class:`~repro.obs.metrics.DeviceMetrics` is attached to single
+        and parallel devices (array specs always drive an
+        ``ArrayMetrics``), so every cached result carries a metrics
+        snapshot for the ``metrics``/``report --compare`` CLI surfaces;
+        pass ``None`` to run a device bare or a pre-built bundle to
+        control the registry/interval or report progress.
         """
         # Imported lazily: repro.experiments.common itself builds on the
         # runner, so a module-level import would be circular.
@@ -245,17 +236,11 @@ class RunSpec:
             # one when none is given), so "auto" needs no construction.
             if metrics == "auto":
                 metrics = None
-            return self._execute_array(
-                sc, config, tracer=tracer, heartbeat=heartbeat,
-                metrics=metrics, keep_samples=keep_samples,
-            )
+            return self._execute_array(sc, config, tracer=tracer, metrics=metrics)
         if metrics == "auto":
-            if self.device == "single":
-                from repro.obs.metrics import DeviceMetrics
+            from repro.obs.metrics import DeviceMetrics
 
-                metrics = DeviceMetrics()
-            else:
-                metrics = None  # ParallelSSD does not take observers
+            metrics = DeviceMetrics()
         trace = sc.trace(
             self.workload,
             config,
@@ -266,21 +251,12 @@ class RunSpec:
         if self.device == "parallel":
             from repro.device.parallel import ParallelSSD
 
-            return ParallelSSD(ftl, tracer=tracer, heartbeat=heartbeat).replay(trace)
+            return ParallelSSD(ftl, tracer=tracer, metrics=metrics).replay(trace)
         if self.device != "single":
             raise ValueError(f"unknown device {self.device!r}")
-        return run_trace(
-            ftl,
-            trace,
-            tracer=tracer,
-            heartbeat=heartbeat,
-            metrics=metrics,
-            keep_samples=keep_samples,
-        )
+        return run_trace(ftl, trace, tracer=tracer, metrics=metrics)
 
-    def _execute_array(
-        self, sc, config, tracer, heartbeat, metrics, keep_samples
-    ):
+    def _execute_array(self, sc, config, tracer, metrics):
         """Array branch of :meth:`execute`: returns an ``ArrayResult``.
 
         Each tenant draws an independent trace of the same workload
@@ -323,9 +299,7 @@ class RunSpec:
             coordination=self.gc_coord,
             ncq_depth=self.ncq_depth,
             tracer=tracer,
-            heartbeat=heartbeat,
             metrics=metrics,
-            keep_samples=keep_samples,
         ).replay(merged)
 
 

@@ -171,6 +171,26 @@ class TestKernelFallback:
         result = SSDArray([build_scheme("cagc", "greedy", cfg)]).replay(trace)
         assert result.kernel_fallback_reason is None
 
+    def test_heartbeat_bundle_takes_kernel_untagged(self):
+        """Progress reporting rides on the ArrayMetrics bundle, which
+        the lane folds feed, so it no longer forces the reference loop."""
+        import io
+
+        from repro.obs import ArrayMetrics, Heartbeat
+
+        cfg = _config(kernel="vectorized")
+        trace = build_fiu_trace("mail", cfg, n_requests=200)
+        stream = io.StringIO()
+        metrics = ArrayMetrics(heartbeat=Heartbeat(0.0, stream=stream))
+        result = SSDArray(
+            [build_scheme("cagc", "greedy", cfg) for _ in range(2)],
+            metrics=metrics,
+        ).replay(trace)
+        assert result.kernel_fallback_reason is None
+        assert f"] done: sim {result.simulated_us / 1e6:.3f}s, 200 reqs" in (
+            stream.getvalue()
+        )
+
     def test_unmodelled_fallback_is_reason_tagged(self):
         from repro.kernel.arrayepoch import FALLBACK_UNMODELLED
 

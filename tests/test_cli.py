@@ -295,6 +295,54 @@ class TestSimulateCommand:
         assert "wrote" not in captured.err
         assert "blocks erased" in captured.out  # results stay on stdout
 
+    SMALL = [
+        "--preset",
+        "homes",
+        "--blocks",
+        "64",
+        "--pages-per-block",
+        "16",
+        "--fill-factor",
+        "2.0",
+        "--heartbeat",
+        "0",
+    ]
+
+    @staticmethod
+    def _done_line(err: str) -> str:
+        done = [line for line in err.splitlines() if "] done: sim " in line]
+        assert len(done) == 1, err[-500:]
+        return done[0]
+
+    def test_simulate_heartbeat_parallel_device(self, capsys):
+        rc = main(["simulate", "--scheme", "baseline", "--device", "parallel", *self.SMALL])
+        assert rc == 0
+        captured = capsys.readouterr()
+        done = self._done_line(captured.err)
+        # The GC count comes from the metrics bundle, not a constant 0.
+        assert not done.endswith(" gc 0")
+        assert "blocks erased" in captured.out
+
+    def test_simulate_heartbeat_array_takes_kernel(self, capsys):
+        rc = main(
+            [
+                "simulate",
+                "--scheme",
+                "baseline",
+                "--array-devices",
+                "2",
+                "--kernel",
+                "vectorized",
+                *self.SMALL,
+            ]
+        )
+        assert rc == 0
+        captured = capsys.readouterr()
+        self._done_line(captured.err)
+        # A heartbeat no longer forces the reference array loop.
+        assert "kernel fallback" not in captured.out
+        assert "fell back" not in captured.err
+
 
 class TestReportCommand:
     def test_report_renders_telemetry_table(self, capsys):

@@ -193,6 +193,15 @@ class TestCLI:
         assert out.rstrip().endswith("# EOF")
         assert "cagc_requests_total" in out
 
+    def test_metrics_parallel_device_is_metered(self, capsys):
+        from repro.cli import main
+
+        run = [*self.RUN, "--device", "parallel"]
+        assert main(["metrics", *run, "--format", "prom"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# TYPE ")
+        assert "cagc_requests_total" in out
+
     def test_metrics_jsonl_and_slo(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -38,7 +38,6 @@ class TestTopLevelExports:
             "repro.obs.telemetry",
             "repro.obs.log",
             "repro.obs.heartbeat",
-            "repro.obs.hooks",
             "repro.cli",
         ],
     )
