@@ -79,18 +79,23 @@ class GCCoordinator:
     Lanes under ``independent`` bypass the coordinator entirely (their
     ``_coord`` slot is ``None``), so this class only carries the common
     machinery: binding, stats, tracer access.
+
+    Every lane holds its coordinator, so the coordinator keeps no
+    reference to the array or its lanes between calls (the hooks are
+    handed the lane they concern): a replayed array is then freed by
+    refcount instead of waiting for a cycle-collector pass.
     """
 
     name = "independent"
 
     def __init__(self) -> None:
-        self.array = None
+        self.devices = 0
         self.deferrals = 0
         self.idle_bursts = 0
         self.idle_busy_us = 0.0
 
     def bind(self, array) -> None:
-        self.array = array
+        self.devices = len(array.lanes)
 
     # -- hooks (coordinated lanes only) ---------------------------------
 
@@ -109,7 +114,7 @@ class GCCoordinator:
     def _defer(self, lane, now: float) -> float:
         self.deferrals += 1
         duration = _restore_reserve(lane, now)
-        tracer = self.array.tracer if self.array is not None else None
+        tracer = lane.tracer
         if tracer is not None:
             tracer.instant(
                 TRACK_ARRAY,
@@ -126,7 +131,7 @@ class GCCoordinator:
         if duration > 0.0:
             self.idle_bursts += 1
             self.idle_busy_us += duration
-            tracer = self.array.tracer if self.array is not None else None
+            tracer = lane.tracer
             if tracer is not None:
                 tracer.span(
                     TRACK_ARRAY,
@@ -175,7 +180,7 @@ class StaggeredCoordinator(GCCoordinator):
             self.window_us = config.gc_burst_blocks * per_block
 
     def owner(self, now: float) -> int:
-        return int(now // self.window_us) % len(self.array.lanes)
+        return int(now // self.window_us) % self.devices
 
     def foreground_gc(self, lane, now: float) -> float:
         if not lane.scheme.needs_gc():
@@ -188,10 +193,10 @@ class StaggeredCoordinator(GCCoordinator):
         if lane.scheme.needs_background_gc():
             self._start_idle_burst(lane)
 
-    def on_window(self, now: float) -> None:
+    def on_window(self, now: float, lanes) -> None:
         """Window-rotation tick: give the new owner its idle slot."""
         self.windows_fired += 1
-        lane = self.array.lanes[self.owner(now)]
+        lane = lanes[self.owner(now)]
         if not lane.busy and lane.scheme.needs_background_gc():
             self._start_idle_burst(lane)
 
@@ -232,7 +237,7 @@ class TokenCoordinator(GCCoordinator):
         if self._start_idle_burst(lane) > 0.0:
             self.holder = lane
             self.grants += 1
-            tracer = self.array.tracer if self.array is not None else None
+            tracer = lane.tracer
             if tracer is not None:
                 tracer.instant(
                     TRACK_ARRAY, "token-grant", lane.sim.now, device=lane.index

@@ -102,7 +102,7 @@ class _ArrayLane(SSD):
     def __init__(
         self,
         index: int,
-        array: "SSDArray",
+        array_metrics: ArrayMetrics,
         scheme: FTLScheme,
         sim: Simulator,
         ncq_depth: int,
@@ -111,7 +111,9 @@ class _ArrayLane(SSD):
     ) -> None:
         super().__init__(scheme, sim=sim, tracer=tracer)
         self.index = index
-        self._array = array
+        #: the array's bundle, not the array: a lane holds nothing that
+        #: points back at it, so a replayed array is freed by refcount.
+        self._array_metrics = array_metrics
         self._ncq_depth = ncq_depth
         self._coord = coord
         self._inflight = 0
@@ -187,8 +189,8 @@ class _ArrayLane(SSD):
         tenants = self._tenants
         tenant = int(tenants[self._completed]) if tenants is not None else 0
         self._completed += 1
-        self._array._on_lane_complete(
-            self, tenant, self.sim.now - event.payload
+        self._array_metrics.on_array_complete(
+            self.index, tenant, self.sim.now, self.sim.now - event.payload
         )
         if self._ncq_blocked is not None:
             # Re-open the gate *before* the inherited completion logic
@@ -295,7 +297,7 @@ class SSDArray:
         self.lanes: List[_ArrayLane] = [
             _ArrayLane(
                 index=i,
-                array=self,
+                array_metrics=self.metrics,
                 scheme=scheme,
                 sim=self.sim,
                 ncq_depth=ncq_depth,
@@ -379,13 +381,6 @@ class SSDArray:
 
     # ----------------------------------------------------------- hooks
 
-    def _on_lane_complete(
-        self, lane: _ArrayLane, tenant: int, latency_us: float
-    ) -> None:
-        self.metrics.on_array_complete(
-            lane.index, tenant, self.sim.now, latency_us
-        )
-
     def _schedule_window(self, window_us: float) -> None:
         """Staggered mode: tick the coordinator at every window edge.
 
@@ -399,7 +394,7 @@ class SSDArray:
         )
 
     def _on_window(self, event: Event) -> None:
-        self.coordinator.on_window(self.sim.now)
+        self.coordinator.on_window(self.sim.now, self.lanes)
         if any(lane.pending() for lane in self.lanes):
             self._schedule_window(self.coordinator.window_us)
 

@@ -153,12 +153,13 @@ class SSD:
         :class:`repro.workloads.stream.StreamingTrace`; the replay loop
         is single-pass either way.
 
-        With ``config.kernel = "vectorized"`` the replay runs through
-        the batched kernels in :mod:`repro.kernel` instead of the event
-        engine — bit-identical results, one pass per chunk.  Features
-        the kernels do not model (preemptive GC, write buffers,
-        per-page-hashing schemes) fall back to the reference loop
-        below.
+        With ``config.kernel = "vectorized"`` (the default) the replay
+        runs through the batched kernels in :mod:`repro.kernel` instead
+        of the event engine — bit-identical results, one pass per
+        chunk.  Features the kernels do not model (preemptive GC, write
+        buffers, schemes without a batched write path) fall back to the
+        reference loop below, which ``kernel = "reference"`` selects
+        outright: the oracle the kernels are diffed against.
         """
         if self.scheme.config.kernel == "vectorized":
             from repro.kernel import kernel_eligible, replay_vectorized

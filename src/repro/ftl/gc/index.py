@@ -45,13 +45,22 @@ import numpy as np
 class VictimIndex:
     """Buckets of GC-eligible blocks keyed by invalid-page count."""
 
-    __slots__ = ("_flash", "_ppb", "_bucket_of", "_pos", "_buckets", "_max", "_size")
+    __slots__ = (
+        "_write_ptr", "_invalid", "_blocks", "_ppb",
+        "_bucket_of", "_pos", "_buckets", "_max", "_size",
+    )
 
     def __init__(self, flash) -> None:
-        self._flash = flash
+        # The flash columns, not the FlashArray: the array points back
+        # at this index, and a cycle would keep every replayed device
+        # alive until a full cycle-collector pass.  Both columns are
+        # only ever mutated in place.
+        self._write_ptr = flash.write_ptr
+        self._invalid = flash.invalid_count
         ppb = flash.pages_per_block
         self._ppb = ppb
         blocks = flash.blocks
+        self._blocks = blocks
         #: invalid-count bucket a block sits in, or -1 when not a member.
         self._bucket_of: List[int] = [-1] * blocks
         #: position of a member block inside its bucket (swap-remove).
@@ -91,7 +100,7 @@ class VictimIndex:
             bucket_of[block] = invalid
             if invalid > self._max:
                 self._max = invalid
-        elif self._flash.write_ptr[block] == self._ppb:
+        elif self._write_ptr[block] == self._ppb:
             # Full block gaining its first invalid page becomes eligible.
             self._add(block, invalid)
 
@@ -123,19 +132,17 @@ class VictimIndex:
         Used at construction and available to tests; steady-state
         maintenance never calls this.
         """
-        flash = self._flash
         for bucket in self._buckets:
             bucket.clear()
-        blocks = flash.blocks
+        blocks = self._blocks
         self._bucket_of = [-1] * blocks
         self._pos = [0] * blocks
         self._max = 0
         self._size = 0
-        full = np.nonzero(
-            (flash.write_ptr == self._ppb) & (flash.invalid_count > 0)
-        )[0]
+        invalid = self._invalid
+        full = np.nonzero((self._write_ptr == self._ppb) & (invalid > 0))[0]
         for block in full.tolist():
-            self._add(block, int(flash.invalid_count[block]))
+            self._add(block, int(invalid[block]))
 
     # -- internal bucket ops ---------------------------------------------------
 
@@ -214,7 +221,7 @@ class VictimIndex:
 
     def candidates_mask(self) -> np.ndarray:
         """Boolean eligibility mask over all blocks (fallback/oracle view)."""
-        mask = np.zeros(self._flash.blocks, dtype=bool)
+        mask = np.zeros(self._blocks, dtype=bool)
         for bucket in self._buckets:
             if bucket:
                 mask[bucket] = True
@@ -225,7 +232,7 @@ class VictimIndex:
     def check_consistency(self, allocator) -> None:
         """Full cross-check against flash state and the oracle mask
         (tests only: O(blocks))."""
-        flash = self._flash
+        invalid = self._invalid
         seen = 0
         for inv, bucket in enumerate(self._buckets):
             for i, block in enumerate(bucket):
@@ -236,10 +243,10 @@ class VictimIndex:
                     )
                 if self._pos[block] != i:
                     raise AssertionError(f"block {block} position desynced")
-                if int(flash.invalid_count[block]) != inv:
+                if int(invalid[block]) != inv:
                     raise AssertionError(
                         f"block {block} indexed at invalid={inv} but flash "
-                        f"says {int(flash.invalid_count[block])}"
+                        f"says {int(invalid[block])}"
                     )
                 seen += 1
         if seen != self._size:

@@ -97,10 +97,25 @@ def kernel_eligible(ssd: SSD, trace) -> bool:
 
 
 def replay_vectorized(ssd: SSD, trace) -> RunResult:
-    """Replay ``trace`` through the batched kernels; see module docs."""
+    """Replay ``trace`` through the batched kernels; see module docs.
+
+    The fast ``collect_block`` is installed for this replay only.  It
+    closes over the scheme, so leaving it in place would make every
+    replayed device a reference cycle that only a full cycle-collector
+    pass frees; ``scheme.kernel_gc_stats`` stays for the report.
+    """
     scheme = ssd.scheme
     views = ColumnViews(scheme)
-    install_fast_gc(scheme, views) or install_fast_cagc(scheme, views)
+    installed = install_fast_gc(scheme, views) or install_fast_cagc(scheme, views)
+    try:
+        return _replay_runs(ssd, trace, views)
+    finally:
+        if installed:
+            del scheme.collect_block  # the class method again
+
+
+def _replay_runs(ssd: SSD, trace, views: ColumnViews) -> RunResult:
+    scheme = ssd.scheme
     timing = scheme.timing
     channels = scheme.flash.geometry.channels
     lanes = timing.hash_lanes

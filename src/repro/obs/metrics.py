@@ -570,8 +570,10 @@ class ArrayMetrics(DeviceMetrics):
         self.tenant_hists = [
             self.tenant_latency.labels(t).hist for t in range(tenants)
         ]
-        for i, lane in enumerate(array.lanes):
-            gc = lane.scheme.gc_counters
+        # The gauges read the lanes' counters, never the lanes: a lane
+        # holds this bundle, so capturing lanes here would be a cycle.
+        gcs = tuple(lane.scheme.gc_counters for lane in array.lanes)
+        for i, gc in enumerate(gcs):
             reg.gauge(
                 f"{PREFIX}_gc_blocks_erased_total",
                 (lambda g=gc: float(g.blocks_erased)),
@@ -584,19 +586,11 @@ class ArrayMetrics(DeviceMetrics):
             )
         reg.gauge(
             f"{PREFIX}_gc_blocks_erased_total",
-            (
-                lambda lanes=array.lanes: float(
-                    sum(l.scheme.gc_counters.blocks_erased for l in lanes)
-                )
-            ),
+            (lambda gcs=gcs: float(sum(g.blocks_erased for g in gcs))),
         )
         self.gc_collects = reg.gauge(
             f"{PREFIX}_gc_invocations_total",
-            (
-                lambda lanes=array.lanes: float(
-                    sum(l.scheme.gc_counters.gc_invocations for l in lanes)
-                )
-            ),
+            (lambda gcs=gcs: float(sum(g.gc_invocations for g in gcs))),
             sampled=False,
         )
 
